@@ -1,22 +1,21 @@
 """Stochastic two-view augmentation for contrastive pretraining.
 
-Images are float32 channel-first arrays with values in [0, 1]; every
-transform clamps back into that range on the way out. A view is built by
-the fixed chain crop -> horizontal flip -> grayscale -> color jitter,
-each stage applied with its configured probability.
+Images are float32 channel-first (3, H, W) arrays with values in [0, 1];
+every stage clamps back into that range on the way out. A view is built
+by the fixed chain crop -> horizontal flip -> grayscale -> color jitter,
+each stage applied with its configured probability, as in SimCLR (Chen
+et al. 2020).
 
-Random draws per view happen in a fixed order regardless of which
-stages end up applied (coins and factors are always consumed), so a
-given generator state pins the exact pair of views.
-
-Vector inputs get a structural analogue of the same chain: a contiguous
-window mask for the crop, order reversal for the flip, projection onto
-the coordinate mean for grayscale, and a global affine map for jitter.
+A view is pinned by ten parameters (see PARAMS), drawn in a fixed order
+regardless of which stages end up applied: coins and factors are always
+consumed. One generator draws both views of a pair with a single call.
+``augment_views`` applies the chain to a whole stack of views at once,
+with per-view masks and factors, and computes each view independently
+of the others, so a view does not depend on the batch it is built in.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,11 @@ import numpy as np
 from vcl import kernels
 
 _LUMA = (0.299, 0.587, 0.114)
+
+# columns of a view's parameter row, in draw order; flip, gray and jit
+# are uniform coins compared with their probabilities
+PARAMS = ("scale", "cy", "cx", "flip", "gray", "jit", "brightness",
+          "contrast", "saturation", "hue")
 
 
 @dataclass(frozen=True)
@@ -56,173 +60,101 @@ class AugmentConfig:
                                  f"got {getattr(self, name)}")
 
 
+def check_images(x: np.ndarray, cfg: AugmentConfig) -> None:
+    """Raise ValueError unless x stacks (3, H, W) images with values in
+    [0, 1] and H, W at least the crop output size."""
+    if x.ndim != 4 or x.shape[1] != 3:
+        raise ValueError(f"augmentation needs (3, H, W) images, "
+                         f"got {x.shape[1:]}")
+    if x.shape[2] < cfg.crop_out[0] or x.shape[3] < cfg.crop_out[1]:
+        raise ValueError(
+            f"image {x.shape[1:]} smaller than crop output {cfg.crop_out}")
+    if x.min() < 0.0 or x.max() > 1.0:
+        raise ValueError("image values must lie in [0, 1]")
+
+
+def draw_params(cfg: AugmentConfig, rngs) -> np.ndarray:
+    """Parameters of two views per generator, one row per view in PARAMS
+    order. Each generator draws its pair with one uniform call, which
+    yields the same doubles as twenty scalar draws in the same order."""
+    bounds = np.array([cfg.crop_scale] + [(0.0, 1.0)] * 5
+                      + [cfg.brightness, cfg.contrast, cfg.saturation,
+                         cfg.hue], dtype=np.float64)
+    low, high = np.tile(bounds, (2, 1)).T
+    return np.stack([rng.uniform(low, high) for rng in rngs]).reshape(
+        -1, len(PARAMS))
+
+
+def _luma(y: np.ndarray) -> np.ndarray:
+    r, g, b = _LUMA
+    return r * y[:, 0] + g * y[:, 1] + b * y[:, 2]
+
+
 def _clip01(x: np.ndarray) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
 
 
-def _luma(img: np.ndarray) -> np.ndarray:
-    r, g, b = _LUMA
-    return r * img[0] + g * img[1] + b * img[2]
+def _stage(y: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Views under mask take the clipped stage output; the rest keep y."""
+    return np.where(mask[:, None, None, None], _clip01(out), y)
 
 
-def _check_image(x: np.ndarray) -> None:
-    if x.ndim != 3 or x.shape[0] != 3:
-        raise ValueError(f"image transforms need (3, H, W) input, got {x.shape}")
+def augment_views(src: np.ndarray, params: np.ndarray,
+                  cfg: AugmentConfig) -> np.ndarray:
+    """Apply the view chain to a stack of images, one parameter row each.
 
-
-def crop_resize(x: np.ndarray, scale: float, cy: float, cx: float,
-                out_hw: tuple) -> np.ndarray:
-    """Crop a scale-area window anchored by fractional offsets, then resize.
-
-    cy and cx in [0, 1] select where the window sits inside the valid
-    offset range; the crop side is round(dim * sqrt(scale)), at least 1.
+    ``src`` is (V, 3, H, W), already checked by check_images; ``params``
+    is (V, 10) in PARAMS order. The crop takes a window of scale times
+    the image area, side round(dim * sqrt(scale)) and at least 1, placed
+    by the fractional offsets cy and cx. Jitter applies brightness,
+    contrast, saturation, then hue; all four are multiplicative around
+    1.0, and a factor of exactly 1.0 skips its stage. Hue blends toward
+    the image with channels cyclically rolled, direction given by the
+    sign of hue - 1 and blend weight by its magnitude.
     """
-    _check_image(x)
-    if not (0.0 < scale <= 1.0):
-        raise ValueError(f"crop scale must be in (0, 1], got {scale}")
-    if not (0.0 <= cy <= 1.0 and 0.0 <= cx <= 1.0):
-        raise ValueError(f"crop anchors must be in [0, 1], got ({cy}, {cx})")
-    _, h, w = x.shape
-    side = math.sqrt(scale)
-    ch = max(1, round(h * side))
-    cw = max(1, round(w * side))
-    y0 = round(cy * (h - ch))
-    x0 = round(cx * (w - cw))
-    window = np.ascontiguousarray(x[:, y0:y0 + ch, x0:x0 + cw])
-    out = kernels.bilinear_resize(window, out_hw[0], out_hw[1])
-    return _clip01(out)
+    src = np.asarray(src, dtype=np.float32)
+    hw = np.array(src.shape[2:])
+    sides = np.maximum(1, np.rint(np.sqrt(params[:, :1]) * hw)).astype(int)
+    corners = np.rint(params[:, 1:3] * (hw - sides)).astype(int)
+    y = _clip01(kernels.crop_resize(src, np.hstack([corners, sides]),
+                                    *cfg.crop_out))
+    flip, gray, jit = (params[:, 3:6] < (cfg.flip_prob, cfg.grayscale_prob,
+                                         cfg.jitter_prob)).T
+    y = np.where(flip[:, None, None, None], y[..., ::-1], y)
+    y = _stage(y, gray, _luma(y)[:, None])
 
-
-def hflip(x: np.ndarray) -> np.ndarray:
-    _check_image(x)
-    return np.ascontiguousarray(x[:, :, ::-1])
-
-
-def grayscale(x: np.ndarray) -> np.ndarray:
-    """Replace all channels by the luma of the image."""
-    _check_image(x)
-    y = _luma(x)
-    return _clip01(np.broadcast_to(y, x.shape).astype(x.dtype, copy=True))
-
-
-def jitter(x: np.ndarray, brightness: float, contrast: float,
-           saturation: float, hue: float) -> np.ndarray:
-    """Photometric jitter: brightness, contrast, saturation, then hue.
-
-    All four factors are multiplicative around 1.0, and a factor of
-    exactly 1.0 skips its stage, so the identity settings return the
-    input untouched. Hue is approximated by blending toward the image
-    with channels cyclically rolled, direction given by the sign of
-    hue - 1 and blend weight by its magnitude.
-    """
-    _check_image(x)
-    for name, v in (("brightness", brightness), ("contrast", contrast),
-                    ("saturation", saturation), ("hue", hue)):
-        if v <= 0:
-            raise ValueError(f"{name} factor must be > 0, got {v}")
-    y = x
-    if brightness != 1.0:
-        y = _clip01(y * brightness)
-    if contrast != 1.0:
-        m = _luma(y).mean()
-        y = _clip01((y - m) * contrast + m)
-    if saturation != 1.0:
-        g = _luma(y)[None]
-        y = _clip01(g + (y - g) * saturation)
-    if hue != 1.0:
-        t = hue - 1.0
-        a = min(1.0, abs(t))
-        rolled = np.roll(y, 1 if t > 0 else -1, axis=0)
-        y = _clip01((1.0 - a) * y + a * rolled)
-    return np.ascontiguousarray(y, dtype=x.dtype)
-
-
-_KINDS = ("crop", "flip", "grayscale", "jitter")
-
-
-def transform(kind: str, x: np.ndarray, params: dict) -> np.ndarray:
-    """Apply one named transform with explicit parameters."""
-    if kind == "crop":
-        return crop_resize(x, params["scale"], params["cy"], params["cx"],
-                           tuple(params["out_hw"]))
-    if kind == "flip":
-        return hflip(x)
-    if kind == "grayscale":
-        return grayscale(x)
-    if kind == "jitter":
-        return jitter(x, params["brightness"], params["contrast"],
-                      params["saturation"], params["hue"])
-    raise ValueError(f"unknown transform kind {kind!r}, expected one of {_KINDS}")
-
-
-# ---------------------------------------------------------------------------
-# vector analogue
-
-def _vector_view(x: np.ndarray, cfg: AugmentConfig,
-                 draws: dict) -> np.ndarray:
-    n = x.shape[0]
-    y = x.astype(np.float32, copy=True)
-    keep = max(1, round(n * draws["scale"]))
-    start = round(draws["cy"] * (n - keep))
-    mask = np.zeros(n, dtype=np.float32)
-    mask[start:start + keep] = 1.0
-    y = y * mask
-    if draws["flip"]:
-        y = y[::-1].copy()
-    if draws["gray"]:
-        y = np.full_like(y, y.mean())
-    if draws["jit"]:
-        y = y * draws["brightness"]
-        m = y.mean()
-        y = (y - m) * draws["contrast"] + m
-    return y
-
-
-def _draw_params(cfg: AugmentConfig, rng: np.random.Generator) -> dict:
-    """Consume one view's worth of randomness in a fixed order."""
-    lo, hi = cfg.crop_scale
-    return {
-        "scale": float(rng.uniform(lo, hi)),
-        "cy": float(rng.uniform()),
-        "cx": float(rng.uniform()),
-        "flip": bool(rng.uniform() < cfg.flip_prob),
-        "gray": bool(rng.uniform() < cfg.grayscale_prob),
-        "jit": bool(rng.uniform() < cfg.jitter_prob),
-        "brightness": float(rng.uniform(*cfg.brightness)),
-        "contrast": float(rng.uniform(*cfg.contrast)),
-        "saturation": float(rng.uniform(*cfg.saturation)),
-        "hue": float(rng.uniform(*cfg.hue)),
-    }
-
-
-def _image_view(x: np.ndarray, cfg: AugmentConfig, draws: dict) -> np.ndarray:
-    y = crop_resize(x, draws["scale"], draws["cy"], draws["cx"], cfg.crop_out)
-    if draws["flip"]:
-        y = hflip(y)
-    if draws["gray"]:
-        y = grayscale(y)
-    if draws["jit"]:
-        y = jitter(y, draws["brightness"], draws["contrast"],
-                   draws["saturation"], draws["hue"])
+    bright, contrast, sat, hue = (jit[:, None] & (params[:, 6:] != 1.0)).T
+    f = params[:, 6:].astype(np.float32)[..., None, None, None]
+    y = _stage(y, bright, y * f[:, 0])
+    # the per-sample chain this replaced summed an unflipped view's luma
+    # column by column, as its resize laid it out; keeping that order
+    # keeps every view, and so every training run, the same bit for bit
+    lum = _luma(y)
+    m = np.where(flip, lum.mean(axis=(1, 2)),
+                 lum.transpose(0, 2, 1).copy().mean(axis=(1, 2)))
+    m = m[:, None, None, None]
+    y = _stage(y, contrast, (y - m) * f[:, 1] + m)
+    g = _luma(y)[:, None]
+    y = _stage(y, sat, g + (y - g) * f[:, 2])
+    t = params[:, 9, None, None, None] - 1.0
+    a = np.minimum(1.0, np.abs(t))
+    rolled = np.where(t > 0, y[:, [2, 0, 1]], y[:, [1, 2, 0]])
+    y = _stage(y, hue, (1.0 - a).astype(np.float32) * y
+               + a.astype(np.float32) * rolled)
     return y
 
 
 def make_view_pair(x: np.ndarray, cfg: AugmentConfig,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Two independently augmented views of one input.
+    """Two independently augmented views of one image.
 
-    Images must be (3, H, W) float in [0, 1] with H, W at least the crop
-    output size; 1-d inputs take the vector chain instead.
+    The image must be (3, H, W) float in [0, 1] with H, W at least the
+    crop output size. The pair goes through the batched chain as a batch
+    of two, so it equals the rows ``datasets.batches`` builds from the
+    same generator.
     """
-    x = np.asarray(x, dtype=np.float32)
-    if x.ndim == 1:
-        return (_vector_view(x, cfg, _draw_params(cfg, rng)),
-                _vector_view(x, cfg, _draw_params(cfg, rng)))
-    _check_image(x)
-    if x.shape[1] < cfg.crop_out[0] or x.shape[2] < cfg.crop_out[1]:
-        raise ValueError(
-            f"image {x.shape} smaller than crop output {cfg.crop_out}")
-    if x.min() < 0.0 or x.max() > 1.0:
-        raise ValueError("image values must lie in [0, 1]")
-    return (_image_view(x, cfg, _draw_params(cfg, rng)),
-            _image_view(x, cfg, _draw_params(cfg, rng)))
+    src = np.asarray(x, dtype=np.float32)[None]
+    check_images(src, cfg)
+    views = augment_views(np.repeat(src, 2, axis=0), draw_params(cfg, [rng]),
+                          cfg)
+    return views[0], views[1]

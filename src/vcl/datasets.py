@@ -26,7 +26,8 @@ from typing import Iterator
 
 import numpy as np
 
-from vcl.augmentation import AugmentConfig, make_view_pair
+from vcl.augmentation import (AugmentConfig, augment_views, check_images,
+                              draw_params)
 
 MAGIC = b"VCLD"
 VERSION = 1
@@ -211,7 +212,7 @@ def inject_outliers(ds: LabeledDataset, rho: float, seed: int,
 
 
 def batches(ds: LabeledDataset, n: int, aug: AugmentConfig,
-            epoch_seed: int) -> Iterator[ViewBatch]:
+            epoch_seed: int, start: int = 0) -> Iterator[ViewBatch]:
     """Shuffled mini-batches of augmented view pairs; the last short
     batch is dropped.
 
@@ -219,28 +220,30 @@ def batches(ds: LabeledDataset, n: int, aug: AugmentConfig,
     ``partner`` swaps them. The shuffle and each sample's augmentation
     draws come from separate streams keyed by (epoch_seed, sample index),
     so batch composition and view noise are reproducible independently
-    of iteration order.
+    of iteration order. ``start`` skips the epoch's first batches
+    without building them; the batches after are unchanged. Each batch
+    is augmented in one vectorised pass.
     """
     m = len(ds)
     if n < 2:
         raise ValueError(f"batch size must be >= 2, got {n}")
     if n > m:
         raise ValueError(f"batch size {n} exceeds dataset size {m}")
+    if start < 0:
+        raise ValueError(f"start batch must be >= 0, got {start}")
+    check_images(ds.inputs, aug)
     order = np.random.default_rng([epoch_seed, 0]).permutation(m)
     idx_pairs = np.arange(n)
     partner = np.empty(2 * n, dtype=np.int64)
     partner[2 * idx_pairs] = 2 * idx_pairs + 1
     partner[2 * idx_pairs + 1] = 2 * idx_pairs
-    for b in range(m // n):
+    for b in range(start, m // n):
         chosen = order[b * n:(b + 1) * n]
-        views = []
-        for i in chosen:
-            rng_i = np.random.default_rng([epoch_seed, 1, int(i)])
-            v1, v2 = make_view_pair(ds.inputs[i], aug, rng_i)
-            views.append(v1)
-            views.append(v2)
-        yield ViewBatch(views=np.stack(views).astype(np.float32),
-                        partner=partner.copy(),
+        rngs = [np.random.default_rng([epoch_seed, 1, int(i)])
+                for i in chosen]
+        views = augment_views(np.repeat(ds.inputs[chosen], 2, axis=0),
+                              draw_params(aug, rngs), aug)
+        yield ViewBatch(views=views, partner=partner.copy(),
                         source_indices=chosen.astype(np.int64))
 
 

@@ -1,52 +1,32 @@
-"""Hot numeric kernels, numba-jitted with pure-numpy fallbacks.
+"""Hot numeric kernels, in numpy.
 
-Three loops dominate the runtime of a training step: the pairwise
-squared-distance matrix and its backward pass, the bilinear resize
-inside the crop augmentation, and the fused AdamW parameter update.
-Each has two implementations with identical signatures and matching
-accumulation order (float64 accumulators, storage-dtype results), so
-switching paths changes speed, not numbers beyond rounding.
-
-Path selection happens once at import time. The default is numba when
-it imports; set ``VCL_NUMBA=0`` to force the numpy path. ``USING_NUMBA``
-reports which path is live, and ``IMPLS`` exposes both families for the
-benchmark and the cross-checking tests.
+Three kernels dominate the runtime of a training step: the pairwise
+squared-distance matrix and its backward pass, the batched crop and
+resize of the view augmentation, and the fused AdamW parameter update.
+Each accumulates in float64 and returns the storage dtype.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 
 import numpy as np
 
 
-def _env_wants_numba() -> bool:
-    return os.environ.get("VCL_NUMBA", "1").strip().lower() not in (
-        "0", "false", "off", "no")
-
-
-_numba = None
-if _env_wants_numba():
-    try:
-        import numba as _numba
-    except ImportError:
-        _numba = None
-
-USING_NUMBA = _numba is not None
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-def _pairwise_sqdist_np(z: np.ndarray) -> np.ndarray:
+def pairwise_sqdist(z: np.ndarray) -> np.ndarray:
     """Full matrix of squared euclidean distances between rows of z."""
+    if z.ndim != 2:
+        raise ValueError(f"pairwise_sqdist needs (n, d) input, got {z.shape}")
     diff = (z[:, None, :] - z[None, :, :]).astype(np.float64)
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     return d2.astype(z.dtype)
 
 
-def _pairwise_sqdist_vjp_np(z: np.ndarray, gout: np.ndarray) -> np.ndarray:
+def pairwise_sqdist_vjp(z: np.ndarray, gout: np.ndarray) -> np.ndarray:
     """Backward of pairwise_sqdist: grad_z[i] = 2 sum_j (g[i,j] + g[j,i]) (z_i - z_j)."""
+    if gout.shape != (z.shape[0], z.shape[0]):
+        raise ValueError(
+            f"vjp cotangent shape {gout.shape} does not match {z.shape[0]} rows")
     g = gout.astype(np.float64)
     z64 = z.astype(np.float64)
     gs = g + g.T
@@ -55,32 +35,75 @@ def _pairwise_sqdist_vjp_np(z: np.ndarray, gout: np.ndarray) -> np.ndarray:
     return out.astype(z.dtype)
 
 
-def _bilinear_resize_np(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize a (C, H, W) image with bilinear interpolation.
+@functools.lru_cache(maxsize=16)
+def _interp_table(out_n: int, n: int) -> np.ndarray:
+    """Bilinear interpolation matrices for every window of a source axis
+    of length n, indexed [size - 1, start] and each (out_n, n).
 
-    Sample positions use half-pixel centers, clipped at the borders, the
-    convention shared with the numba path below.
+    Window [start, start + size) is sampled at half-pixel centres,
+    clipped to the window. Entries with start + size > n are not used.
+    The table holds n^3 * out_n doubles: 0.5 MB for a 16-pixel axis.
     """
-    c, h, w = src.shape
-    ys = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5,
-                 0.0, h - 1.0)
-    xs = np.clip((np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5,
-                 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[None, :, None]
-    wx = (xs - x0)[None, None, :]
+    size, start = np.divmod(np.arange(n * n), n)
+    size = size[:, None] + 1
+    pos = np.clip((np.arange(out_n, dtype=np.float64) + 0.5) * (size / out_n)
+                  - 0.5, 0.0, size - 1.0)
+    i0 = np.floor(pos).astype(np.int64)
+    i1 = np.minimum(i0 + 1, size - 1)
+    w1 = pos - i0
+    cols = np.arange(n)
+    lo = cols == (start[:, None] + i0)[..., None]
+    hi = cols == (start[:, None] + i1)[..., None]
+    table = ((1 - w1)[..., None] * lo + w1[..., None] * hi).reshape(
+        n, n, out_n, n)
+    table.flags.writeable = False
+    return table
+
+
+def crop_resize(src: np.ndarray, boxes: np.ndarray, out_h: int,
+                out_w: int) -> np.ndarray:
+    """Crop one window per image and resize it bilinearly, as a batch.
+
+    ``src`` is (V, C, H, W); ``boxes`` holds one integer row
+    (y0, x0, h, w) per image. Crop and resize together are the separable
+    linear map out = Ry · src · Rxᵀ, with per-image interpolation
+    matrices over the full source. The stacked matmul computes every
+    image on its own, so a row's result does not depend on the batch.
+    """
+    if src.ndim != 4:
+        raise ValueError(f"crop_resize needs (v, c, h, w) input, got {src.shape}")
+    if out_h < 1 or out_w < 1:
+        raise ValueError(f"output size {out_h}x{out_w} must be positive")
+    boxes = np.asarray(boxes, dtype=np.int64)
+    _, _, h, w = src.shape
+    if boxes.shape != (src.shape[0], 4):
+        raise ValueError(f"need one (y0, x0, h, w) box per image, got "
+                         f"{boxes.shape} for {src.shape[0]} images")
+    corner, size = boxes[:, :2], boxes[:, 2:]
+    if (corner.min(initial=0) < 0 or size.min(initial=1) < 1
+            or (corner + size > (h, w)).any()):
+        raise ValueError(f"crop boxes must lie inside the {h}x{w} image")
+    ry = _interp_table(int(out_h), h)[size[:, 0] - 1, corner[:, 0]]
+    rx = _interp_table(int(out_w), w)[size[:, 1] - 1, corner[:, 1]]
     s = src.astype(np.float64)
-    top = s[:, y0][:, :, x0] * (1 - wx) + s[:, y0][:, :, x1] * wx
-    bot = s[:, y1][:, :, x0] * (1 - wx) + s[:, y1][:, :, x1] * wx
-    out = top * (1 - wy) + bot * wy
+    out = (ry[:, None] @ s) @ rx.transpose(0, 2, 1)[:, None]
     return out.astype(src.dtype)
 
 
-def _adamw_update_np(p, g, m, v, t, lr, beta1, beta2, eps, wd):
+def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Resize a whole (C, H, W) image: crop_resize with one full window."""
+    if src.ndim != 3:
+        raise ValueError(f"bilinear_resize needs (c, h, w) input, got {src.shape}")
+    _, h, w = src.shape
+    return crop_resize(src[None], [[0, 0, h, w]], out_h, out_w)[0]
+
+
+def adamw_update(p, g, m, v, t, lr, beta1, beta2, eps, wd):
     """One decoupled-weight-decay Adam step; returns (p2, m2, v2) out of place."""
+    if not (p.shape == g.shape == m.shape == v.shape):
+        raise ValueError("adamw_update needs same-shape p, g, m, v")
+    if t < 1:
+        raise ValueError(f"step count must be >= 1, got {t}")
     p64 = p.astype(np.float64)
     g64 = g.astype(np.float64)
     m2 = beta1 * m.astype(np.float64) + (1.0 - beta1) * g64
@@ -89,162 +112,3 @@ def _adamw_update_np(p, g, m, v, t, lr, beta1, beta2, eps, wd):
     vhat = v2 / (1.0 - beta2 ** t)
     p2 = p64 - lr * mhat / (np.sqrt(vhat) + eps) - lr * wd * p64
     return p2.astype(p.dtype), m2.astype(p.dtype), v2.astype(p.dtype)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if USING_NUMBA:
-    _njit = _numba.njit(cache=True, fastmath=False)
-
-    @_njit
-    def _pairwise_sqdist_nb(z):
-        n, d = z.shape
-        out = np.empty((n, n), dtype=z.dtype)
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for k in range(d):
-                    t = float(z[i, k]) - float(z[j, k])
-                    acc += t * t
-                out[i, j] = acc
-        return out
-
-    @_njit
-    def _pairwise_sqdist_vjp_nb(z, gout):
-        n, d = z.shape
-        # symmetrize once; the naive (i, k, j) loop re-reads a strided
-        # gout column n*d times and is an order of magnitude slower
-        gs = np.empty((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(n):
-                gs[i, j] = float(gout[i, j]) + float(gout[j, i])
-        out = np.empty((n, d), dtype=z.dtype)
-        acc = np.empty(d, dtype=np.float64)
-        for i in range(n):
-            srow = 0.0
-            for k in range(d):
-                acc[k] = 0.0
-            for j in range(n):
-                w = gs[i, j]
-                srow += w
-                for k in range(d):
-                    acc[k] += w * float(z[j, k])
-            for k in range(d):
-                out[i, k] = 2.0 * (srow * float(z[i, k]) - acc[k])
-        return out
-
-    @_njit
-    def _bilinear_resize_nb(src, out_h, out_w):
-        c, h, w = src.shape
-        out = np.empty((c, out_h, out_w), dtype=src.dtype)
-        for oy in range(out_h):
-            ys = (oy + 0.5) * (h / out_h) - 0.5
-            if ys < 0.0:
-                ys = 0.0
-            if ys > h - 1.0:
-                ys = h - 1.0
-            y0 = int(np.floor(ys))
-            y1 = min(y0 + 1, h - 1)
-            wy = ys - y0
-            for ox in range(out_w):
-                xs = (ox + 0.5) * (w / out_w) - 0.5
-                if xs < 0.0:
-                    xs = 0.0
-                if xs > w - 1.0:
-                    xs = w - 1.0
-                x0 = int(np.floor(xs))
-                x1 = min(x0 + 1, w - 1)
-                wx = xs - x0
-                for ch in range(c):
-                    top = float(src[ch, y0, x0]) * (1.0 - wx) + \
-                        float(src[ch, y0, x1]) * wx
-                    bot = float(src[ch, y1, x0]) * (1.0 - wx) + \
-                        float(src[ch, y1, x1]) * wx
-                    out[ch, oy, ox] = top * (1.0 - wy) + bot * wy
-        return out
-
-    @_njit
-    def _adamw_update_nb(p, g, m, v, t, lr, beta1, beta2, eps, wd):
-        p2 = np.empty_like(p)
-        m2 = np.empty_like(m)
-        v2 = np.empty_like(v)
-        bc1 = 1.0 - beta1 ** t
-        bc2 = 1.0 - beta2 ** t
-        flat_p = p.ravel()
-        flat_g = g.ravel()
-        flat_m = m.ravel()
-        flat_v = v.ravel()
-        fp2 = p2.ravel()
-        fm2 = m2.ravel()
-        fv2 = v2.ravel()
-        for i in range(flat_p.size):
-            gi = float(flat_g[i])
-            mi = beta1 * float(flat_m[i]) + (1.0 - beta1) * gi
-            vi = beta2 * float(flat_v[i]) + (1.0 - beta2) * gi * gi
-            mhat = mi / bc1
-            vhat = vi / bc2
-            pi = float(flat_p[i])
-            fp2[i] = pi - lr * mhat / (np.sqrt(vhat) + eps) - lr * wd * pi
-            fm2[i] = mi
-            fv2[i] = vi
-        return p2, m2, v2
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-_NUMPY_IMPLS = {
-    "pairwise_sqdist": _pairwise_sqdist_np,
-    "pairwise_sqdist_vjp": _pairwise_sqdist_vjp_np,
-    "bilinear_resize": _bilinear_resize_np,
-    "adamw_update": _adamw_update_np,
-}
-
-if USING_NUMBA:
-    _NUMBA_IMPLS = {
-        "pairwise_sqdist": _pairwise_sqdist_nb,
-        "pairwise_sqdist_vjp": _pairwise_sqdist_vjp_nb,
-        "bilinear_resize": _bilinear_resize_nb,
-        "adamw_update": _adamw_update_nb,
-    }
-else:
-    _NUMBA_IMPLS = None
-
-IMPLS = {"numpy": _NUMPY_IMPLS, "numba": _NUMBA_IMPLS}
-
-_ACTIVE = _NUMBA_IMPLS if USING_NUMBA else _NUMPY_IMPLS
-
-
-def pairwise_sqdist(z: np.ndarray) -> np.ndarray:
-    if z.ndim != 2:
-        raise ValueError(f"pairwise_sqdist needs (n, d) input, got {z.shape}")
-    return _ACTIVE["pairwise_sqdist"](np.ascontiguousarray(z))
-
-
-def pairwise_sqdist_vjp(z: np.ndarray, gout: np.ndarray) -> np.ndarray:
-    if gout.shape != (z.shape[0], z.shape[0]):
-        raise ValueError(
-            f"vjp cotangent shape {gout.shape} does not match {z.shape[0]} rows")
-    return _ACTIVE["pairwise_sqdist_vjp"](np.ascontiguousarray(z),
-                                          np.ascontiguousarray(gout))
-
-
-def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    if src.ndim != 3:
-        raise ValueError(f"bilinear_resize needs (c, h, w) input, got {src.shape}")
-    if out_h < 1 or out_w < 1:
-        raise ValueError(f"output size {out_h}x{out_w} must be positive")
-    return _ACTIVE["bilinear_resize"](np.ascontiguousarray(src),
-                                      int(out_h), int(out_w))
-
-
-def adamw_update(p, g, m, v, t, lr, beta1, beta2, eps, wd):
-    if not (p.shape == g.shape == m.shape == v.shape):
-        raise ValueError("adamw_update needs same-shape p, g, m, v")
-    if t < 1:
-        raise ValueError(f"step count must be >= 1, got {t}")
-    return _ACTIVE["adamw_update"](
-        np.ascontiguousarray(p), np.ascontiguousarray(g),
-        np.ascontiguousarray(m), np.ascontiguousarray(v),
-        int(t), float(lr), float(beta1), float(beta2), float(eps), float(wd))

@@ -239,18 +239,15 @@ def pretrain(run: RunConfig, out_dir=None, resume=None,
     epoch = step // spe
     while step < run.steps:
         ep_seed = _epoch_seed(run.seed, epoch)
-        skip = step - epoch * spe
         ep_totals: list[LossBreakdown] = []
         ep_wall = 0.0
-        interrupted = False
-        for bi, batch in enumerate(batches(ds, run.batch_n, run.augment,
-                                           ep_seed)):
-            if bi < skip:
-                continue
-            if step >= run.steps:
-                interrupted = True
-                break
+        # a resumed epoch starts at its next untrained batch, and the
+        # budget is checked before a batch is built
+        it = batches(ds, run.batch_n, run.augment, ep_seed,
+                     start=step - epoch * spe)
+        while step < min(run.steps, (epoch + 1) * spe):
             t0 = time.perf_counter()
+            batch = next(it)
             lr_t = cosine_lr(sched, step)
             loss, detail, _ = _loss_for_batch(run, params, batch, step)
             if not math.isfinite(detail.total):
@@ -283,8 +280,7 @@ def pretrain(run: RunConfig, out_dir=None, resume=None,
                 "mean_l_dist": sum(d.l_dist for d in ep_totals) / n,
                 "mean_l_norm": sum(d.l_norm for d in ep_totals) / n,
                 "wall_ms": ep_wall})
-        finished_epoch = not interrupted and step == (epoch + 1) * spe
-        if (out_path is not None and finished_epoch
+        if (out_path is not None and step == (epoch + 1) * spe
                 and run.checkpoint_every > 0
                 and (epoch + 1) % run.checkpoint_every == 0
                 and step < run.steps):

@@ -1,18 +1,129 @@
-"""View-pair augmentation pipeline."""
+"""View-pair augmentation pipeline, checked against a per-sample oracle."""
+
+import math
 
 import numpy as np
 import pytest
 
-from vcl.augmentation import (AugmentConfig, crop_resize, grayscale, hflip,
-                              jitter, make_view_pair, transform)
+from vcl.augmentation import (PARAMS, AugmentConfig, draw_params,
+                              make_view_pair)
+from vcl.datasets import GenConfig, batches, generate_synthetic
 
 IDENTITY = AugmentConfig(crop_scale=(1.0, 1.0), flip_prob=0.0,
                          grayscale_prob=0.0, jitter_prob=0.0)
+ALWAYS = AugmentConfig(flip_prob=1.0, grayscale_prob=1.0, jitter_prob=1.0)
+SMALLEST_CROP = AugmentConfig(crop_scale=(1e-3, 1e-3))
+
+# ---------------------------------------------------------------------------
+# oracle: the chain one view at a time, one stage call per transform
+
+
+def _luma(img):
+    return 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
+
+
+def _clip01(x):
+    return np.clip(x, 0.0, 1.0)
+
+
+def _crop_resize(x, scale, cy, cx, out_hw):
+    _, h, w = x.shape
+    side = math.sqrt(scale)
+    ch = max(1, round(h * side))
+    cw = max(1, round(w * side))
+    y0 = round(cy * (h - ch))
+    x0 = round(cx * (w - cw))
+    window = x[:, y0:y0 + ch, x0:x0 + cw]
+    return _clip01(_bilinear_resize(window, *out_hw))
+
+
+def _bilinear_resize(src, out_h, out_w):
+    """Gather form: blend the two neighbouring source pixels per axis."""
+    _, h, w = src.shape
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[None, :, None]
+    wx = (xs - x0)[None, None, :]
+    s = src.astype(np.float64)
+    top = s[:, y0][:, :, x0] * (1 - wx) + s[:, y0][:, :, x1] * wx
+    bot = s[:, y1][:, :, x0] * (1 - wx) + s[:, y1][:, :, x1] * wx
+    return (top * (1 - wy) + bot * wy).astype(src.dtype)
+
+
+def _hflip(x):
+    return np.ascontiguousarray(x[:, :, ::-1])
+
+
+def _grayscale(x):
+    return _clip01(np.broadcast_to(_luma(x), x.shape).astype(x.dtype))
+
+
+def _jitter(x, brightness, contrast, saturation, hue):
+    y = x
+    if brightness != 1.0:
+        y = _clip01(y * brightness)
+    if contrast != 1.0:
+        m = _luma(y).mean()
+        y = _clip01((y - m) * contrast + m)
+    if saturation != 1.0:
+        g = _luma(y)[None]
+        y = _clip01(g + (y - g) * saturation)
+    if hue != 1.0:
+        t = hue - 1.0
+        a = min(1.0, abs(t))
+        rolled = np.roll(y, 1 if t > 0 else -1, axis=0)
+        y = _clip01((1.0 - a) * y + a * rolled)
+    return np.ascontiguousarray(y, dtype=x.dtype)
+
+
+def _draw_params(cfg, rng):
+    """One view's draws as ten scalar calls, in the fixed order."""
+    lo, hi = cfg.crop_scale
+    return {
+        "scale": float(rng.uniform(lo, hi)),
+        "cy": float(rng.uniform()),
+        "cx": float(rng.uniform()),
+        "flip": bool(rng.uniform() < cfg.flip_prob),
+        "gray": bool(rng.uniform() < cfg.grayscale_prob),
+        "jit": bool(rng.uniform() < cfg.jitter_prob),
+        "brightness": float(rng.uniform(*cfg.brightness)),
+        "contrast": float(rng.uniform(*cfg.contrast)),
+        "saturation": float(rng.uniform(*cfg.saturation)),
+        "hue": float(rng.uniform(*cfg.hue)),
+    }
+
+
+def _oracle_view(x, cfg, d):
+    y = _crop_resize(x, d["scale"], d["cy"], d["cx"], cfg.crop_out)
+    if d["flip"]:
+        y = _hflip(y)
+    if d["gray"]:
+        y = _grayscale(y)
+    if d["jit"]:
+        y = _jitter(y, d["brightness"], d["contrast"], d["saturation"],
+                    d["hue"])
+    return y
+
+
+def _oracle_pair(x, cfg, rng):
+    return (_oracle_view(x, cfg, _draw_params(cfg, rng)),
+            _oracle_view(x, cfg, _draw_params(cfg, rng)))
+
+
+# ---------------------------------------------------------------------------
 
 
 def _img(seed, h=16, w=16):
     return np.random.default_rng(seed).uniform(0, 1, (3, h, w)).astype(
         np.float32)
+
+
+def _dataset(m=64):
+    return generate_synthetic(GenConfig(m=m, seed=3))
 
 
 def test_identity_config_reproduces_input():
@@ -47,49 +158,63 @@ def test_views_stay_in_range_and_shape():
             assert np.isfinite(v).all()
 
 
-def test_crop_resize_scale_one_is_identity():
-    x = _img(3)
-    assert np.array_equal(crop_resize(x, 1.0, 0.3, 0.8, (16, 16)), x)
-    small = crop_resize(x, 0.25, 0.5, 0.5, (16, 16))
-    assert small.shape == (3, 16, 16)
+def test_drawn_parameters_equal_scalar_draws():
+    for cfg in (AugmentConfig(), IDENTITY, ALWAYS, SMALLEST_CROP):
+        for seed in range(50):
+            rows = draw_params(cfg, [np.random.default_rng([seed, 1, 3])])
+            rng = np.random.default_rng([seed, 1, 3])
+            for row in rows:
+                d = _draw_params(cfg, rng)
+                p = dict(zip(PARAMS, row))
+                for name in ("scale", "cy", "cx", "brightness", "contrast",
+                             "saturation", "hue"):
+                    assert p[name] == d[name], name
+                assert (p["flip"] < cfg.flip_prob) == d["flip"]
+                assert (p["gray"] < cfg.grayscale_prob) == d["gray"]
+                assert (p["jit"] < cfg.jitter_prob) == d["jit"]
 
 
-def test_hflip_is_involution():
-    x = _img(4)
-    assert np.array_equal(hflip(hflip(x)), x)
-    assert np.array_equal(hflip(x), x[:, :, ::-1])
+@pytest.mark.parametrize("cfg", [AugmentConfig(), IDENTITY, ALWAYS,
+                                 SMALLEST_CROP],
+                         ids=["default", "identity", "always", "min_crop"])
+def test_batched_chain_matches_per_sample_oracle(cfg):
+    ds = _dataset()
+    for seed in range(4):
+        for b in batches(ds, 16, cfg, epoch_seed=seed):
+            for k, i in enumerate(b.source_indices):
+                rng = np.random.default_rng([seed, 1, int(i)])
+                o1, o2 = _oracle_pair(ds.inputs[i], cfg, rng)
+                err = max(np.abs(b.views[2 * k] - o1).max(),
+                          np.abs(b.views[2 * k + 1] - o2).max())
+                assert err <= 1e-6, (seed, int(i), err)
+                if cfg is IDENTITY:
+                    assert np.array_equal(b.views[2 * k], ds.inputs[i])
+                    assert np.array_equal(b.views[2 * k + 1], ds.inputs[i])
 
 
-def test_grayscale_collapses_channels():
-    y = grayscale(_img(5))
-    assert np.allclose(y[0], y[1], atol=1e-7)
-    assert np.allclose(y[1], y[2], atol=1e-7)
+def test_make_view_pair_equals_batch_rows():
+    ds = _dataset()
+    for b in batches(ds, 32, AugmentConfig(), epoch_seed=11):
+        for k, i in enumerate(b.source_indices):
+            rng = np.random.default_rng([11, 1, int(i)])
+            v1, v2 = make_view_pair(ds.inputs[i], AugmentConfig(), rng)
+            assert np.array_equal(v1, b.views[2 * k])
+            assert np.array_equal(v2, b.views[2 * k + 1])
 
 
-def test_jitter_neutral_parameters():
-    x = _img(6)
-    y = jitter(x, 1.0, 1.0, 1.0, 1.0)
-    assert np.allclose(y, x, atol=1e-6)
-    bright = jitter(x, 1.3, 1.0, 1.0, 1.0)
-    assert bright.mean() > x.mean()
-
-
-def test_transform_dispatch():
-    x = _img(7)
-    y = transform("flip", x, {})
-    assert np.array_equal(y, hflip(x))
-    with pytest.raises(ValueError):
-        transform("solarize", x, {})
-
-
-def test_vector_inputs_take_vector_chain():
-    vec = np.linspace(0.0, 1.0, 32).astype(np.float32)
-    v1, v2 = make_view_pair(vec, AugmentConfig(), np.random.default_rng(0))
-    assert v1.shape == vec.shape
-    assert not np.array_equal(v1, v2)
-    w1, w2 = make_view_pair(vec, IDENTITY, np.random.default_rng(0))
-    assert np.array_equal(w1, vec)
-    assert np.array_equal(w2, vec)
+@pytest.mark.parametrize("cfg", [AugmentConfig(), ALWAYS],
+                         ids=["default", "always"])
+def test_views_do_not_depend_on_batch_size(cfg):
+    ds = _dataset(m=256)
+    rows = {}
+    for n in (2, 16, 128):
+        for b in batches(ds, n, cfg, epoch_seed=5):
+            for k, i in enumerate(b.source_indices):
+                got = b.views[2 * k:2 * k + 2]
+                if int(i) in rows:
+                    assert np.array_equal(rows[int(i)], got), (n, int(i))
+                rows[int(i)] = got
+    assert len(rows) == 256
 
 
 def test_input_validation():
@@ -98,6 +223,10 @@ def test_input_validation():
         make_view_pair(_img(8, h=8, w=8), cfg, np.random.default_rng(0))
     with pytest.raises(ValueError):
         make_view_pair(_img(9) + 2.0, cfg, np.random.default_rng(0))
+    for bad in (np.linspace(0.0, 1.0, 32), np.zeros((16, 16)),
+                np.zeros((1, 16, 16))):
+        with pytest.raises(ValueError):
+            make_view_pair(bad, cfg, np.random.default_rng(0))
 
 
 def test_config_validation():

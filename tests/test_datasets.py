@@ -124,6 +124,30 @@ def test_batches_cover_dataset_without_short_batch():
         next(batches(ds, 1, AugmentConfig(), epoch_seed=0))
 
 
+def test_batches_start_skips_exactly():
+    ds = generate_synthetic(SMALL)
+    aug = AugmentConfig()
+    full = list(batches(ds, 16, aug, epoch_seed=9))
+    for start in (1, 3, 4):
+        tail = list(batches(ds, 16, aug, epoch_seed=9, start=start))
+        assert len(tail) == len(full) - start
+        for x, y in zip(full[start:], tail):
+            assert np.array_equal(x.views, y.views)
+            assert np.array_equal(x.source_indices, y.source_indices)
+    with pytest.raises(ValueError):
+        next(batches(ds, 16, aug, epoch_seed=9, start=-1))
+
+
+def test_batches_check_inputs_once_per_call():
+    ds = generate_synthetic(SMALL)
+    for bad in (ds.inputs + 2.0, ds.inputs[:, :, :8, :8],
+                ds.inputs.reshape(64, -1)):
+        bad_ds = LabeledDataset(inputs=bad, labels=ds.labels,
+                                outlier_mask=ds.outlier_mask)
+        with pytest.raises(ValueError):
+            next(batches(bad_ds, 16, AugmentConfig(), epoch_seed=0))
+
+
 def test_summary_fields():
     ds = inject_outliers(generate_synthetic(SMALL), 0.25, seed=0)
     summary = dataset_summary(ds)

@@ -1,13 +1,17 @@
 """Optimizer, schedule, training loop, and checkpoint container."""
 
+import time
+
 import numpy as np
 import pytest
 
+from vcl import datasets
 from vcl.autograd import Tensor
 from vcl.model import params_fingerprint
 from vcl.trainer import (CKPT_MAGIC, CheckpointError, NanLossError, Schedule,
-                         adamw_step, cosine_lr, init_optim_state,
-                         load_checkpoint, pretrain, save_checkpoint)
+                         adamw_step, build_dataset, cosine_lr,
+                         init_optim_state, load_checkpoint, pretrain,
+                         save_checkpoint)
 
 
 def _records_sans_wall(result):
@@ -101,6 +105,40 @@ def test_resume_reproduces_uninterrupted_run(tiny_cfg, tmp_path):
     assert _records_sans_wall(resumed) == tail
     with pytest.raises(ValueError):
         pretrain(tiny_cfg(steps=3), resume=tmp_path / "checkpoint.vclc")
+
+
+def test_pretrain_augments_only_trained_batches(tiny_cfg, tmp_path,
+                                                monkeypatch):
+    counted = []  # samples whose views get built, two views each
+    real = datasets.augment_views
+
+    def counting(src, params, cfg):
+        counted.append(len(src) // 2)
+        return real(src, params, cfg)
+    monkeypatch.setattr(datasets, "augment_views", counting)
+    # 3 steps per epoch: a budget of 4 ends inside the second epoch
+    pretrain(tiny_cfg(steps=4), out_dir=tmp_path)
+    assert sum(counted) == 4 * 16
+    counted.clear()
+    # a mid-epoch resume builds no batch before its start step
+    pretrain(tiny_cfg(steps=6), resume=tmp_path / "checkpoint.vclc")
+    assert sum(counted) == 2 * 16
+
+
+def test_step_wall_ms_covers_the_step(tiny_cfg, monkeypatch):
+    run = tiny_cfg(steps=12)
+    ds = build_dataset(run)
+    real = datasets.augment_views
+
+    def slow(src, params, cfg):
+        # make batch construction a large share of the step
+        time.sleep(0.02)
+        return real(src, params, cfg)
+    monkeypatch.setattr(datasets, "augment_views", slow)
+    t0 = time.perf_counter()
+    result = pretrain(run, dataset=ds)
+    total_ms = (time.perf_counter() - t0) * 1000.0
+    assert sum(r["wall_ms"] for r in result.step_records) >= 0.9 * total_ms
 
 
 def test_epoch_records_summarize_steps(tiny_cfg):
