@@ -24,7 +24,7 @@ side. Anything else raises ShapeError naming both shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -112,17 +112,6 @@ class Tensor:
         out._backward = None
         return out
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
     def backward(self) -> None:
         if self.data.size != 1:
             raise ShapeError(
@@ -149,69 +138,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other, self), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __pow__(self, p):
-        return pow_scalar(self, p)
-
-    def exp(self):
-        return exp(self)
-
-    def expm1(self):
-        return expm1(self)
-
-    def log(self):
-        return log(self)
-
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def softplus(self):
-        return softplus(self)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None):
-        return tmean(self, axis=axis)
-
-    def clamp(self, lo, hi):
-        return clamp(self, lo, hi)
-
-    @property
-    def T(self):
-        return transpose(self)
 
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
@@ -397,15 +323,6 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = Tensor._from_op(_expit(a.data), (a,))
-    if out.requires_grad:
-        def backward():
-            _accum(a, out.grad * out.data * (1.0 - out.data))
-        out._backward = backward
-    return out
-
-
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed without overflow for large x."""
     out = Tensor._from_op(np.logaddexp(0.0, a.data).astype(a.data.dtype),
@@ -444,42 +361,6 @@ def tmean(a: Tensor, axis: int | None = None) -> Tensor:
             if axis is not None:
                 g = np.expand_dims(g, axis)
             _accum(a, np.broadcast_to(g, a.data.shape) / n)
-        out._backward = backward
-    return out
-
-
-def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat_rows needs at least one tensor")
-    trailing = tensors[0].data.shape[1:]
-    for t in tensors:
-        if t.data.shape[1:] != trailing:
-            raise ShapeError(
-                f"concat_rows trailing dims differ: {t.data.shape} vs "
-                f"{tensors[0].data.shape}")
-    out = Tensor._from_op(np.concatenate([t.data for t in tensors], axis=0),
-                          tuple(tensors))
-    if out.requires_grad:
-        def backward():
-            off = 0
-            for t in tensors:
-                n = t.data.shape[0]
-                _accum(t, out.grad[off:off + n])
-                off += n
-        out._backward = backward
-    return out
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    n = a.data.shape[0]
-    if not (0 <= start <= stop <= n):
-        raise ShapeError(f"row slice [{start}:{stop}] out of range for {n} rows")
-    out = Tensor._from_op(a.data[start:stop].copy(), (a,))
-    if out.requires_grad:
-        def backward():
-            buf = np.zeros_like(a.data)
-            buf[start:stop] = out.grad
-            _accum(a, buf)
         out._backward = backward
     return out
 

@@ -29,15 +29,15 @@ from dataclasses import replace
 from pathlib import Path
 
 from vcl.config import (ConfigError, RunConfig, load_run_config,
-                        run_config_to_dict, with_seed)
-from vcl.datasets import DataFormatError, dataset_summary
+                        run_config_to_dict)
+from vcl.datasets import FormatError, dataset_summary
 from vcl.datasets import load as load_dataset
 from vcl.datasets import save as save_dataset
 from vcl.evaluation import (FinetuneConfig, ProbeConfig, linear_probe,
                             low_shot_finetune, train_test_split)
 from vcl.gradcheck import run_suite, suite_report
-from vcl.trainer import (CheckpointError, NanLossError, build_dataset,
-                         load_checkpoint, pretrain)
+from vcl.trainer import (NanLossError, build_dataset, load_checkpoint,
+                         pretrain)
 
 EXIT_OK = 0
 EXIT_GRADCHECK = 1
@@ -108,7 +108,7 @@ def _sha256(path: Path) -> str:
 def cmd_pretrain(args) -> int:
     run = _load_config(args.config)
     if args.seed is not None:
-        run = with_seed(run, args.seed)
+        run = replace(run, seed=args.seed)
     out = _out_dir(args)
 
     _write_json(out / "resolved-config.json", run_config_to_dict(run))
@@ -269,9 +269,10 @@ def cmd_gen_data(args) -> int:
     if args.seed is not None:
         gen = replace(gen, seed=args.seed)
     rho = run.data.rho if args.rho is None else args.rho
-    if not 0.0 <= rho < 1.0:
-        raise UsageError(f"--rho must be in [0, 1), got {rho}")
-    run = replace(run, data=replace(run.data, gen=gen, rho=rho))
+    try:
+        run = replace(run, data=replace(run.data, gen=gen, rho=rho))
+    except ValueError as err:
+        raise UsageError(f"--rho: {err}") from err
 
     ds = build_dataset(run)
     out = Path(args.out)
@@ -302,6 +303,17 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _at_least(lo: int):
+    """argparse type: an integer >= lo, else a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    parse.__name__ = "integer"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vcl",
@@ -311,7 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="run the self-supervised loop")
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--out", help="output directory (default VCL_OUT_DIR)")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_at_least(0),
+                   help="override the config seed")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.set_defaults(func=cmd_pretrain)
 
@@ -322,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("linear", "lowshot"))
     p.add_argument("--fraction", type=float,
                    help="labeled fraction (lowshot only)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_at_least(0), default=0,
                    help="split and probe seed")
     p.add_argument("--out", help="output directory (default VCL_OUT_DIR)")
     p.set_defaults(func=cmd_eval)
@@ -335,8 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--out", help="output directory (default VCL_OUT_DIR)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=20,
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--instances", type=_at_least(1), default=20,
                    help="random instances per check")
     p.add_argument("--include-broken", action="store_true",
                    help="add a known-bad op to prove the harness catches it")
@@ -345,7 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="write a synthetic dataset file")
     p.add_argument("--config", help="run config JSON (defaults when absent)")
     p.add_argument("--rho", type=float, help="outlier fraction override")
-    p.add_argument("--seed", type=int, help="generator seed override")
+    p.add_argument("--seed", type=_at_least(0),
+                   help="generator seed override")
     p.add_argument("--out", required=True, help="dataset file path")
     p.set_defaults(func=cmd_gen_data)
 
@@ -359,7 +373,7 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CheckpointError, DataFormatError, ArtifactError) as err:
+    except (FormatError, ArtifactError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ARTIFACT
 

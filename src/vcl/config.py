@@ -4,13 +4,15 @@ Every knob a run can turn lives in one RunConfig tree. JSON loading is
 strict: unknown keys are rejected and every diagnostic names the exact
 field path (for example "loss.tau"), so a typo cannot silently fall
 back to a default. A missing key means "use the default"; an empty
-object is a complete, valid config.
+object is a complete, valid config. Parsing checks only JSON types,
+taken from each field's default; every range check lives in the
+section dataclass's ``__post_init__``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from vcl.augmentation import AugmentConfig
 from vcl.datasets import GenConfig
@@ -32,7 +34,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ModelSection:
-    hidden_dims: tuple = (256, 256)
+    hidden_dims: tuple[int, ...] = (256, 256)
     embed_dim: int = 64
     head_dim: int = 32
     reparam_mode: str = "std"
@@ -110,6 +112,8 @@ class RunConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.batch_n < 2:
             raise ValueError(f"batch_n must be >= 2, got {self.batch_n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if self.batch_n > self.data.gen.m:
@@ -125,201 +129,77 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # strict JSON parsing
 
+_KINDS = {bool: "true or false", int: "an integer", float: "a number",
+          str: "a string"}
+
+
 def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+    return ".".join(p for p in (path, key) if p)
 
 
-def _number(v, p: str, lo=None, hi=None, lo_open=False, hi_open=False) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(p, f"expected a number, got {v!r}")
-    f = float(v)
-    if lo is not None and (f <= lo if lo_open else f < lo):
-        raise ConfigError(p, f"must be {'>' if lo_open else '>='} {lo}")
-    if hi is not None and (f >= hi if hi_open else f > hi):
-        raise ConfigError(p, f"must be {'<' if hi_open else '<='} {hi}")
-    return f
+def _value(v, default, path: str, varlen: bool = False):
+    """Check ``v`` against the JSON type of a field's default; ranges are
+    the dataclass's to check. A float default takes any number, a None
+    default null or an integer, and a tuple default a list of its length
+    (of any length when ``varlen``) whose items take its first item's type.
+    """
+    if isinstance(default, tuple):
+        if not isinstance(v, list) or not (varlen or len(v) == len(default)):
+            size = "a" if varlen else f"a {len(default)}-element"
+            raise ConfigError(path, f"expected {size} list, got {v!r}")
+        return tuple(_value(x, default[0], f"{path}[{i}]")
+                     for i, x in enumerate(v))
+    if default is None and v is None:
+        return None
+    kind = int if default is None else type(default)
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(v, accepted) or (isinstance(v, bool) and kind is not bool):
+        raise ConfigError(path, f"expected {_KINDS[kind]}, got {v!r}")
+    return float(v) if kind is float else v
 
 
-def _integer(v, p: str, lo=None) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(p, f"expected an integer, got {v!r}")
-    if lo is not None and v < lo:
-        raise ConfigError(p, f"must be >= {lo}")
-    return v
+def _fails(cls, name: str, value) -> bool:
+    try:
+        cls(**{name: value})
+    except ValueError:
+        return True
+    return False
 
 
-def _boolean(v, p: str) -> bool:
-    if not isinstance(v, bool):
-        raise ConfigError(p, f"expected true or false, got {v!r}")
-    return v
-
-
-def _choice(v, p: str, options) -> str:
-    if not isinstance(v, str) or v not in options:
-        raise ConfigError(p, f"expected one of {list(options)}, got {v!r}")
-    return v
-
-
-def _pair(v, p: str, lo=None, lo_open=False) -> tuple:
-    if not isinstance(v, list) or len(v) != 2:
-        raise ConfigError(p, f"expected a 2-element list, got {v!r}")
-    a = _number(v[0], f"{p}[0]", lo=lo, lo_open=lo_open)
-    b = _number(v[1], f"{p}[1]", lo=lo, lo_open=lo_open)
-    return (a, b)
-
-
-def _int_pair(v, p: str) -> tuple:
-    if not isinstance(v, list) or len(v) != 2:
-        raise ConfigError(p, f"expected a 2-element list, got {v!r}")
-    return (_integer(v[0], f"{p}[0]", lo=1), _integer(v[1], f"{p}[1]", lo=1))
-
-
-def _int_list(v, p: str) -> tuple:
-    if not isinstance(v, list) or not v:
-        raise ConfigError(p, f"expected a non-empty list of integers, got {v!r}")
-    return tuple(_integer(x, f"{p}[{i}]", lo=1) for i, x in enumerate(v))
-
-
-def _section(obj, path: str, table: dict, builder):
+def _section(cls, obj, path: str):
+    """Build dataclass ``cls`` from a JSON object, every field typed by
+    its default and nested sections built the same way. A ValueError of
+    the constructor is blamed on the first field that fails on its own,
+    else on the section."""
     if not isinstance(obj, dict):
         raise ConfigError(path, f"expected an object, got {obj!r}")
-    for key in obj:
-        if key not in table:
+    kwargs, obj = {}, dict(obj)
+    if cls is DataSection:
+        # the generator's fields sit flat in "data" next to the section's
+        names = {f.name for f in fields(GenConfig)}
+        kwargs["gen"] = _section(
+            GenConfig, {k: obj.pop(k) for k in list(obj) if k in names}, path)
+    own = {f.name: f for f in fields(cls) if f.name not in kwargs}
+    defaults = cls()
+    for key, v in obj.items():
+        if key not in own:
             raise ConfigError(_join(path, key), "unknown field")
-    kwargs = {}
-    for key, caster in table.items():
-        if key in obj:
-            kwargs[key] = caster(obj[key], _join(path, key))
+        default = getattr(defaults, key)
+        if is_dataclass(default):
+            kwargs[key] = _section(type(default), v, _join(path, key))
+        else:
+            kwargs[key] = _value(v, default, _join(path, key),
+                                 "..." in str(own[key].type))
     try:
-        return builder(**kwargs)
-    except ValueError as e:
-        raise ConfigError(path, str(e)) from e
+        return cls(**kwargs)
+    except ValueError as err:
+        culprit = next((f.name for f in fields(cls) if f.name in kwargs
+                        and _fails(cls, f.name, kwargs[f.name])), "")
+        raise ConfigError(_join(path, culprit), str(err)) from err
 
 
-_MODEL_TABLE = {
-    "hidden_dims": _int_list,
-    "embed_dim": lambda v, p: _integer(v, p, lo=2),
-    "head_dim": lambda v, p: _integer(v, p, lo=1),
-    "reparam_mode": lambda v, p: _choice(v, p, REPARAM_MODES),
-}
-
-_LOSS_TABLE = {
-    "tau": lambda v, p: _number(v, p, lo=0.0, lo_open=True),
-    "beta": lambda v, p: _number(v, p, lo=0.0, lo_open=True),
-    "sigma0": lambda v, p: _number(v, p, lo=0.0, lo_open=True),
-    "lambda_dist": lambda v, p: _number(v, p, lo=0.0),
-    "lambda_norm": lambda v, p: _number(v, p, lo=0.0),
-    "sign_mode": lambda v, p: _choice(v, p, ("negated", "literal")),
-    "distance": lambda v, p: _choice(v, p, ("sq_euclidean",)),
-    "normalize_z": _boolean,
-}
-
-_AUG_TABLE = {
-    "crop_scale": lambda v, p: _pair(v, p, lo=0.0, lo_open=True),
-    "crop_out": _int_pair,
-    "flip_prob": lambda v, p: _number(v, p, lo=0.0, hi=1.0),
-    "grayscale_prob": lambda v, p: _number(v, p, lo=0.0, hi=1.0),
-    "jitter_prob": lambda v, p: _number(v, p, lo=0.0, hi=1.0),
-    "brightness": lambda v, p: _pair(v, p, lo=0.0, lo_open=True),
-    "contrast": lambda v, p: _pair(v, p, lo=0.0, lo_open=True),
-    "saturation": lambda v, p: _pair(v, p, lo=0.0, lo_open=True),
-    "hue": lambda v, p: _pair(v, p, lo=0.0, lo_open=True),
-}
-
-_GEN_TABLE = {
-    "m": lambda v, p: _integer(v, p, lo=1),
-    "attributes": lambda v, p: _integer(v, p, lo=1),
-    "latent_dim": lambda v, p: _integer(v, p, lo=1),
-    "channels": lambda v, p: _integer(v, p, lo=1),
-    "height": lambda v, p: _integer(v, p, lo=4),
-    "width": lambda v, p: _integer(v, p, lo=4),
-    "noise_std": lambda v, p: _number(v, p, lo=0.0),
-    "gain": lambda v, p: _number(v, p, lo=0.0, lo_open=True),
-    "freq_range": lambda v, p: _pair(v, p, lo=0.0, lo_open=True),
-    "zoom_range": lambda v, p: _pair(v, p, lo=0.0, lo_open=True),
-    "shift_max": lambda v, p: _number(v, p, lo=0.0),
-    "label_margin": lambda v, p: _number(v, p, lo=0.0),
-    "seed": lambda v, p: _integer(v, p, lo=0),
-}
-
-_OPTIM_TABLE = {
-    "lr": lambda v, p: _number(v, p, lo=0.0, lo_open=True),
-    "weight_decay": lambda v, p: _number(v, p, lo=0.0),
-    "beta1": lambda v, p: _number(v, p, lo=0.0, hi=1.0, hi_open=True),
-    "beta2": lambda v, p: _number(v, p, lo=0.0, hi=1.0, hi_open=True),
-    "eps": lambda v, p: _number(v, p, lo=0.0, lo_open=True),
-}
-
-_SCHEDULE_TABLE = {
-    "min_lr": lambda v, p: _number(v, p, lo=0.0),
-}
-
-
-def _parse_data(obj, path: str) -> DataSection:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, f"expected an object, got {obj!r}")
-    extra_keys = {"rho", "outlier_mode"}
-    for key in obj:
-        if key not in _GEN_TABLE and key not in extra_keys:
-            raise ConfigError(_join(path, key), "unknown field")
-    gen = _section({k: v for k, v in obj.items() if k in _GEN_TABLE},
-                   path, _GEN_TABLE, GenConfig)
-    kwargs = {"gen": gen}
-    if "rho" in obj:
-        kwargs["rho"] = _number(obj["rho"], _join(path, "rho"),
-                                lo=0.0, hi=1.0, hi_open=True)
-    if "outlier_mode" in obj:
-        kwargs["outlier_mode"] = _choice(obj["outlier_mode"],
-                                         _join(path, "outlier_mode"),
-                                         OUTLIER_MODES)
-    try:
-        return DataSection(**kwargs)
-    except ValueError as e:
-        raise ConfigError(path, str(e)) from e
-
-
-_TOP_LEVEL = ("objective", "steps", "batch_n", "seed", "checkpoint_every",
-              "model", "loss", "augment", "data", "optim", "schedule")
-
-
-def parse_run_config(obj: dict) -> RunConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("", f"top level must be an object, got {obj!r}")
-    for key in obj:
-        if key not in _TOP_LEVEL:
-            raise ConfigError(key, "unknown field")
-    kwargs = {}
-    if "objective" in obj:
-        kwargs["objective"] = _choice(obj["objective"], "objective", OBJECTIVES)
-    if "steps" in obj:
-        kwargs["steps"] = _integer(obj["steps"], "steps", lo=1)
-    if "batch_n" in obj:
-        kwargs["batch_n"] = _integer(obj["batch_n"], "batch_n", lo=2)
-    if "seed" in obj:
-        kwargs["seed"] = _integer(obj["seed"], "seed", lo=0)
-    if "checkpoint_every" in obj:
-        kwargs["checkpoint_every"] = _integer(obj["checkpoint_every"],
-                                              "checkpoint_every", lo=0)
-    if "model" in obj:
-        kwargs["model"] = _section(obj["model"], "model", _MODEL_TABLE,
-                                   ModelSection)
-    if "loss" in obj:
-        kwargs["loss"] = _section(obj["loss"], "loss", _LOSS_TABLE, LossConfig)
-    if "augment" in obj:
-        kwargs["augment"] = _section(obj["augment"], "augment", _AUG_TABLE,
-                                     AugmentConfig)
-    if "data" in obj:
-        kwargs["data"] = _parse_data(obj["data"], "data")
-    if "optim" in obj:
-        kwargs["optim"] = _section(obj["optim"], "optim", _OPTIM_TABLE,
-                                   OptimSection)
-    if "schedule" in obj:
-        kwargs["schedule"] = _section(obj["schedule"], "schedule",
-                                      _SCHEDULE_TABLE, ScheduleSection)
-    try:
-        return RunConfig(**kwargs)
-    except ValueError as e:
-        raise ConfigError("", str(e)) from e
+def parse_run_config(obj) -> RunConfig:
+    return _section(RunConfig, obj, "")
 
 
 def load_run_config(path) -> RunConfig:
@@ -335,14 +215,5 @@ def run_config_to_dict(run: RunConfig) -> dict:
     """JSON-ready echo of a config, data section flattened like the input."""
     d = asdict(run)
     data = d.pop("data")
-    # None marks a derived default (latent_dim); a strict re-parse
-    # rejects nulls, so omit those keys instead of echoing them
-    flat = {k: v for k, v in data["gen"].items() if v is not None}
-    flat["rho"] = data["rho"]
-    flat["outlier_mode"] = data["outlier_mode"]
-    d["data"] = flat
+    d["data"] = {**data.pop("gen"), **data}
     return json.loads(json.dumps(d))
-
-
-def with_seed(run: RunConfig, seed: int) -> RunConfig:
-    return replace(run, seed=seed)

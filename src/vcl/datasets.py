@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -33,7 +34,11 @@ MAGIC = b"VCLD"
 VERSION = 1
 
 
-class DataFormatError(ValueError):
+class FormatError(ValueError):
+    """A file violates its binary container format."""
+
+
+class DataFormatError(FormatError):
     """Dataset file violates the container format."""
 
 
@@ -42,7 +47,6 @@ class GenConfig:
     m: int = 2048
     attributes: int = 8
     latent_dim: int | None = None
-    channels: int = 3
     height: int = 16
     width: int = 16
     noise_std: float = 0.1
@@ -62,9 +66,6 @@ class GenConfig:
         if k < self.attributes:
             raise ValueError(
                 f"latent_dim {k} must be >= attributes {self.attributes}")
-        if self.channels != 3:
-            raise ValueError(f"generator renders 3-channel images, "
-                             f"got channels={self.channels}")
         if self.height < 4 or self.width < 4:
             raise ValueError(f"image too small: {self.height}x{self.width}")
         if self.noise_std < 0:
@@ -82,6 +83,8 @@ class GenConfig:
         if self.label_margin < 0:
             raise ValueError(
                 f"label_margin must be >= 0, got {self.label_margin}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def k(self) -> int:
@@ -136,7 +139,7 @@ def generate_synthetic(cfg: GenConfig) -> LabeledDataset:
     """
     rng = np.random.default_rng(cfg.seed)
     k, a = cfg.k, cfg.attributes
-    h, w, c = cfg.height, cfg.width, cfg.channels
+    h, w, c = cfg.height, cfg.width, 3
 
     # dataset-level pattern bank: oriented sinusoid per latent coordinate
     freq = rng.uniform(cfg.freq_range[0], cfg.freq_range[1], size=k)
@@ -275,37 +278,40 @@ def save(ds: LabeledDataset, path) -> None:
                                       dtype="<u1").tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise DataFormatError(
-            f"truncated file: wanted {n} bytes for {what} at offset "
-            f"{fh.tell() - len(buf)}, got {len(buf)}")
-    return buf
+@contextmanager
+def read_container(path, magic: bytes, version: int, error):
+    """Open a binary container and yield ``read(n, what)``, which returns
+    the next n bytes. Bad magic, another version, truncation and, once
+    the caller is done, trailing bytes raise ``error`` with an offset."""
+    with open(path, "rb") as fh:
+        def read(n: int, what: str) -> bytes:
+            buf = fh.read(n)
+            if len(buf) != n:
+                raise error(f"truncated file: wanted {n} bytes for {what} "
+                            f"at offset {fh.tell() - len(buf)}, got {len(buf)}")
+            return buf
+
+        got = read(4, "magic")
+        if got != magic:
+            raise error(f"bad magic at offset 0: {got!r}, expected {magic!r}")
+        (got,) = struct.unpack("<I", read(4, "version"))
+        if got != version:
+            raise error(f"unsupported version {got}")
+        yield read
+        if fh.read(1):
+            raise error(f"trailing bytes at offset {fh.tell() - 1}")
 
 
 def load(path) -> LabeledDataset:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != MAGIC:
-            raise DataFormatError(
-                f"bad magic at offset 0: {magic!r}, expected {MAGIC!r}")
-        version, m, a, ndim = struct.unpack("<IIII",
-                                            _read_exact(fh, 16, "header"))
-        if version != VERSION:
-            raise DataFormatError(f"unsupported version {version}")
+    with read_container(path, MAGIC, VERSION, DataFormatError) as read:
+        m, a, ndim = struct.unpack("<III", read(12, "header"))
         if ndim < 1 or ndim > 4:
             raise DataFormatError(f"implausible input rank {ndim}")
-        shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "shape"))
+        shape = struct.unpack(f"<{ndim}I", read(4 * ndim, "shape"))
         count = m * int(np.prod(shape))
-        inputs = np.frombuffer(
-            _read_exact(fh, 4 * count, "inputs"), dtype="<f4").reshape(
-                (m,) + shape).copy()
-        labels = np.frombuffer(
-            _read_exact(fh, m * a, "labels"), dtype="<u1").reshape(m, a).copy()
-        mask = np.frombuffer(
-            _read_exact(fh, m, "outlier mask"), dtype="<u1").astype(bool)
-        trailing = fh.read(1)
-        if trailing:
-            raise DataFormatError(f"trailing bytes at offset {fh.tell() - 1}")
+        inputs = np.frombuffer(read(4 * count, "inputs"), dtype="<f4").reshape(
+            (m,) + shape).copy()
+        labels = np.frombuffer(read(m * a, "labels"), dtype="<u1").reshape(
+            m, a).copy()
+        mask = np.frombuffer(read(m, "outlier mask"), dtype="<u1").astype(bool)
     return LabeledDataset(inputs=inputs, labels=labels, outlier_mask=mask)

@@ -15,9 +15,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from vcl.autograd import Tensor, add, matmul, mul, softplus, sub, tmean
+from vcl.autograd import (Tensor, _expit, add, matmul, mul, softplus, sub,
+                          tmean)
 from vcl.datasets import LabeledDataset
-from vcl.model import encode, params_fingerprint
+from vcl.model import _glorot, encode, params_fingerprint
 from vcl.trainer import adamw_step, init_optim_state
 
 
@@ -38,19 +39,8 @@ class ProbeConfig:
 
 
 @dataclass(frozen=True)
-class FinetuneConfig:
+class FinetuneConfig(ProbeConfig):
     steps: int = 300
-    lr: float = 1e-3
-    weight_decay: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -82,16 +72,6 @@ def mean_attribute_accuracy(pred, labels) -> tuple[list, float]:
     hits = (p > 0.5) == (y == 1)
     per_attr = [float(a) for a in hits.mean(axis=0)]
     return per_attr, float(hits.mean())
-
-
-def _expit(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _glorot_head(rng: np.random.Generator, d: int, a: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / (d + a))
-    return rng.uniform(-bound, bound, size=(d, a)).astype(np.float32)
 
 
 def _bce(logits: Tensor, targets: Tensor) -> Tensor:
@@ -146,7 +126,7 @@ def linear_probe(params: dict[str, Tensor], train_ds: LabeledDataset,
     a = train_ds.labels.shape[1]
     d = feats_train.shape[1]
     head = {
-        "probe.w": Tensor(_glorot_head(rng, d, a), requires_grad=True),
+        "probe.w": Tensor(_glorot(rng, d, a), requires_grad=True),
         "probe.b": Tensor(np.zeros(a, dtype=np.float32), requires_grad=True),
     }
     state = init_optim_state(head, lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -225,7 +205,7 @@ def low_shot_finetune(params: dict[str, Tensor], fraction: float,
                  for k in params if k.startswith("enc")}
     a = train_ds.labels.shape[1]
     d = params["enc_out.w"].data.shape[1]
-    trainable["probe.w"] = Tensor(_glorot_head(rng, d, a), requires_grad=True)
+    trainable["probe.w"] = Tensor(_glorot(rng, d, a), requires_grad=True)
     trainable["probe.b"] = Tensor(np.zeros(a, dtype=np.float32),
                                   requires_grad=True)
     state = init_optim_state(trainable, lr=cfg.lr,

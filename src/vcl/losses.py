@@ -24,8 +24,8 @@ through the mixture midpoint), and ``dist_normalizing`` is the KL to a
 standard normal, keeping the latent space from collapsing or drifting.
 
 Everything that participates in training returns autograd Tensors;
-scalar reference helpers (``beta_dist_at``, ``kl_gaussian``,
-``alpha_log``) compute in float64 and return plain floats.
+scalar reference helpers (``beta_dist_at``, ``kl_gaussian``) compute in
+float64 and return plain floats.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class LossConfig:
     lambda_dist: float = 1.0
     lambda_norm: float = 1.0
     sign_mode: str = "negated"
-    distance: str = "sq_euclidean"
     normalize_z: bool = False
 
     def __post_init__(self):
@@ -68,8 +67,6 @@ class LossConfig:
         if self.sign_mode not in SIGN_MODES:
             raise ValueError(f"sign_mode must be one of {SIGN_MODES}, "
                              f"got {self.sign_mode!r}")
-        if self.distance != "sq_euclidean":
-            raise ValueError(f"unsupported distance {self.distance!r}")
 
 
 @dataclass(frozen=True)
@@ -121,20 +118,6 @@ def kl_gaussian(mu_q, sigma_q, mu_p, sigma_p) -> float:
         raise DomainError("standard deviations must be > 0")
     return float(np.sum(np.log(sp / sq) + (sq ** 2 + (mq - mp) ** 2)
                         / (2.0 * sp ** 2) - 0.5))
-
-
-def alpha_log(x: float, alpha: float) -> float:
-    """Deformed logarithm: (x^(1-alpha) - 1) / (1-alpha), log x at alpha=1.
-
-    Computed as expm1((1-alpha) log x) / (1-alpha) so values of alpha
-    close to 1 do not cancel away the answer.
-    """
-    if x <= 0:
-        raise DomainError(f"alpha_log needs x > 0, got {x}")
-    if alpha == 1.0:
-        return math.log(x)
-    t = 1.0 - float(alpha)
-    return math.expm1(t * math.log(x)) / t
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +248,7 @@ def dist_similarity(g_i: GaussianParams, g_j: GaussianParams) -> Tensor:
                       + ((mu_i - mu_m)^2 + (mu_j - mu_m)^2) / (2 sigma_m^2) ]
 
     averaged over the batch. Zero iff the paired moments coincide. The
-    variance-ratio terms that a full KL would add are exposed separately
-    by dist_similarity_residual as a detached diagnostic.
+    variance-ratio terms that a full KL would add are left out.
     """
     if g_i.mu.data.shape != g_j.mu.data.shape:
         raise ShapeError(
@@ -286,19 +268,6 @@ def dist_similarity(g_i: GaussianParams, g_j: GaussianParams) -> Tensor:
     quad = div(add(mul(di, di), mul(dj, dj)), scale(mul(sm, sm), 2.0))
     per_dim = add(log_terms, quad)
     return tmean(scale(tsum(per_dim, axis=1), 0.5))
-
-
-def dist_similarity_residual(g_i: GaussianParams, g_j: GaussianParams) -> float:
-    """Detached value of the variance-ratio terms dropped from dist_similarity.
-
-    For each pair this is sum_d ((sigma_i^2 + sigma_j^2) / (2 sigma_m^2) - 1),
-    averaged over the batch; zero when paired variances match.
-    """
-    si = np.exp(0.5 * g_i.logvar.data.astype(np.float64))
-    sj = np.exp(0.5 * g_j.logvar.data.astype(np.float64))
-    sm = 0.5 * (si + sj)
-    per_pair = np.sum((si ** 2 + sj ** 2) / (2.0 * sm ** 2) - 1.0, axis=1)
-    return float(per_pair.mean())
 
 
 def total_loss(z: Tensor, g: GaussianParams, partner,

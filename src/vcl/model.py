@@ -59,14 +59,6 @@ class GaussianParams:
         if self.mu.data.ndim != 2:
             raise ShapeError(f"expected (B, D) moments, got {self.mu.data.shape}")
 
-    @property
-    def batch(self) -> int:
-        return self.mu.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.mu.data.shape[1]
-
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     a = math.sqrt(6.0 / (fan_in + fan_out))
@@ -100,11 +92,6 @@ def init_params(cfg: EncoderConfig, head_dim: int,
     lin("head_mu", cfg.embed_dim, head_dim)
     lin("head_logvar", cfg.embed_dim, head_dim)
     return params
-
-
-def params_copy(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    return {k: Tensor(v.data.copy(), requires_grad=True)
-            for k, v in params.items()}
 
 
 def params_fingerprint(params: dict[str, Tensor]) -> bytes:

@@ -26,8 +26,8 @@ import numpy as np
 from vcl import kernels
 from vcl.autograd import Tensor
 from vcl.config import RunConfig
-from vcl.datasets import (LabeledDataset, batches, generate_synthetic,
-                          inject_outliers)
+from vcl.datasets import (FormatError, LabeledDataset, batches,
+                          generate_synthetic, inject_outliers, read_container)
 from vcl.losses import LossBreakdown, nt_xent_cosine, total_loss
 from vcl.model import (EncoderConfig, GaussianParams, encode, gaussian_head,
                        init_params, reparameterize)
@@ -44,7 +44,7 @@ class NanLossError(RuntimeError):
         self.diagnostics = diagnostics
 
 
-class CheckpointError(ValueError):
+class CheckpointError(FormatError):
     """Checkpoint file violates the container format."""
 
 
@@ -157,9 +157,8 @@ def build_dataset(run: RunConfig) -> LabeledDataset:
 
 
 def encoder_config_for_run(run: RunConfig) -> EncoderConfig:
-    g = run.data.gen
     oh, ow = run.augment.crop_out
-    return EncoderConfig(input_shape=(g.channels, oh, ow),
+    return EncoderConfig(input_shape=(3, oh, ow),
                          hidden_dims=tuple(run.model.hidden_dims),
                          embed_dim=run.model.embed_dim)
 
@@ -322,29 +321,20 @@ def _write_block(fh, arrays: dict[str, np.ndarray]) -> None:
         fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CheckpointError(
-            f"truncated checkpoint: wanted {n} bytes for {what} at offset "
-            f"{fh.tell() - len(buf)}")
-    return buf
-
-
-def _read_block(fh) -> dict[str, np.ndarray]:
-    (count,) = struct.unpack("<I", _read_exact(fh, 4, "block count"))
+def _read_block(read) -> dict[str, np.ndarray]:
+    (count,) = struct.unpack("<I", read(4, "block count"))
     if count > 100000:
         raise CheckpointError(f"implausible tensor count {count}")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-        name = _read_exact(fh, nlen, "name").decode("utf-8")
-        (rank,) = struct.unpack("<B", _read_exact(fh, 1, "rank"))
+        (nlen,) = struct.unpack("<H", read(2, "name length"))
+        name = read(nlen, "name").decode("utf-8")
+        (rank,) = struct.unpack("<B", read(1, "rank"))
         if rank > 4:
             raise CheckpointError(f"implausible rank {rank} for {name!r}")
-        shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "shape"))
+        shape = struct.unpack(f"<{rank}I", read(4 * rank, "shape"))
         n = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(_read_exact(fh, 4 * n, f"data of {name!r}"),
+        data = np.frombuffer(read(4 * n, f"data of {name!r}"),
                              dtype="<f4").reshape(shape).copy()
         if name in out:
             raise CheckpointError(f"duplicate tensor name {name!r}")
@@ -363,19 +353,12 @@ def save_checkpoint(path, params: dict[str, Tensor], state: OptimState,
 
 
 def load_checkpoint(path) -> CheckpointData:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != CKPT_MAGIC:
-            raise CheckpointError(
-                f"bad magic at offset 0: {magic!r}, expected {CKPT_MAGIC!r}")
-        version, step = struct.unpack("<IQ", _read_exact(fh, 12, "header"))
-        if version != CKPT_VERSION:
-            raise CheckpointError(f"unsupported version {version}")
-        raw_params = _read_block(fh)
-        m = _read_block(fh)
-        v = _read_block(fh)
-        if fh.read(1):
-            raise CheckpointError(f"trailing bytes at offset {fh.tell() - 1}")
+    with read_container(path, CKPT_MAGIC, CKPT_VERSION,
+                        CheckpointError) as read:
+        (step,) = struct.unpack("<Q", read(8, "step"))
+        raw_params = _read_block(read)
+        m = _read_block(read)
+        v = _read_block(read)
     if set(m) != set(raw_params) or set(v) != set(raw_params):
         raise CheckpointError("optimizer blocks do not match parameter names")
     params = {k: Tensor(arr, requires_grad=True)

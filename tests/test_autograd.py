@@ -7,11 +7,10 @@ seeded finite-difference sweeps through grad_check.
 import numpy as np
 import pytest
 
-from vcl.autograd import (DomainError, ShapeError, Tensor, add, clamp,
-                          concat_rows, div, exp, expm1, gather_rows,
-                          grad_check, log, matmul, mul, pow_scalar, relu,
-                          reshape, scale, sigmoid, slice_rows, softplus, sub,
-                          tmean, transpose, tsum)
+from vcl.autograd import (DomainError, ShapeError, Tensor, _expit, add,
+                          clamp, div, exp, expm1, gather_rows, grad_check, log,
+                          matmul, mul, pow_scalar, relu, reshape, scale,
+                          softplus, sub, tmean, transpose, tsum)
 
 
 def _rand(rng, shape):
@@ -53,9 +52,8 @@ def test_reductions_and_shapes():
 
 def test_row_ops_roundtrip():
     a = Tensor(np.arange(12, dtype=np.float64).reshape(4, 3))
-    top = slice_rows(a, 0, 2)
-    bot = slice_rows(a, 2, 4)
-    back = concat_rows([top, bot])
+    perm = np.array([2, 0, 3, 1])
+    back = gather_rows(gather_rows(a, perm), np.argsort(perm))
     assert np.array_equal(back.data, a.data)
     picked = gather_rows(a, [2, 0, 2])
     assert np.array_equal(picked.data, a.data[[2, 0, 2]])
@@ -134,7 +132,7 @@ def test_gradcheck_elementwise_chain():
         x0 = Tensor(r.standard_normal((3, 4)), dtype=np.float64)
 
         def f(x):
-            y = mul(sigmoid(x), add(x, 0.5))
+            y = mul(softplus(x), add(x, 0.5))
             return tsum(div(y, add(exp(scale(x, -1.0)), 1.5)))
 
         rep = grad_check(f, x0, eps=1e-4, tol=1e-6)
@@ -185,9 +183,9 @@ def test_gradcheck_broadcast_div():
 def test_sigmoid_softplus_large_inputs():
     big = Tensor([60.0, -60.0], dtype=np.float64)
     with np.errstate(over="raise"):
-        s = sigmoid(big)
+        s = _expit(big.data)
         sp = softplus(big)
-    assert np.allclose(s.data, [1.0, 0.0], atol=1e-15)
+    assert np.allclose(s, [1.0, 0.0], atol=1e-15)
     assert np.isfinite(sp.data).all()
     assert abs(float(sp.data[0]) - 60.0) < 1e-12
     assert float(sp.data[1]) < 1e-12

@@ -117,6 +117,23 @@ def test_pretrain_rejects_unknown_field(tmp_path, capsys):
     assert "stpes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--config", "run.json", "--seed", "-1"],
+    ["gen-data", "--seed", "-1"],
+    ["eval", "--checkpoint", "c.vclc", "--data", "d.vcld",
+     "--protocol", "linear", "--seed", "-1"],
+    ["gradcheck", "--seed", "-1"],
+    ["gradcheck", "--instances", "0"],
+], ids=["pretrain-seed", "gen-data-seed", "eval-seed", "gradcheck-seed",
+        "gradcheck-instances"])
+def test_out_of_range_integer_flags_are_usage_errors(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_pretrain_missing_config_file(tmp_path):
     assert main(["pretrain", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "r")]) == 2

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from vcl.config import (ConfigError, RunConfig, load_run_config,
-                        parse_run_config, run_config_to_dict, with_seed)
+                        parse_run_config, run_config_to_dict)
 
 
 def test_empty_object_gives_defaults():
@@ -53,6 +53,13 @@ def test_unknown_fields_name_their_path():
     with pytest.raises(ConfigError) as err:
         parse_run_config({"data": {"gen": {"m": 9}}})
     assert err.value.field == "data.gen"
+    # single-valued knobs that were removed
+    with pytest.raises(ConfigError) as err:
+        parse_run_config({"loss": {"distance": "sq_euclidean"}})
+    assert err.value.field == "loss.distance"
+    with pytest.raises(ConfigError) as err:
+        parse_run_config({"data": {"channels": 3}})
+    assert err.value.field == "data.channels"
 
 
 def test_type_and_range_errors_name_their_path():
@@ -72,6 +79,18 @@ def test_type_and_range_errors_name_their_path():
         parse_run_config({"model": {"hidden_dims": []}})
     with pytest.raises(ConfigError):
         parse_run_config([])
+    with pytest.raises(ConfigError) as err:
+        parse_run_config({"data": {"attributes": 4, "latent_dim": 2}})
+    assert err.value.field == "data.latent_dim"
+    with pytest.raises(ConfigError) as err:
+        parse_run_config({"data": {"seed": -2}})
+    assert err.value.field == "data.seed"
+    with pytest.raises(ConfigError) as err:
+        parse_run_config({"loss": {"tau": True}})
+    assert err.value.field == "loss.tau"
+    with pytest.raises(ConfigError) as err:
+        parse_run_config({"augment": {"crop_out": [1.5, 2]}})
+    assert err.value.field == "augment.crop_out[0]"
 
 
 def test_cross_field_validation():
@@ -94,12 +113,6 @@ def test_echo_roundtrip():
     assert "gen" not in echoed["data"]
     assert parse_run_config(echoed) == run
     json.dumps(echoed)  # JSON-ready by construction
-
-
-def test_with_seed():
-    run = parse_run_config({"seed": 1})
-    assert with_seed(run, 9).seed == 9
-    assert with_seed(run, 9).loss == run.loss
 
 
 def test_load_run_config_from_file(tmp_path):

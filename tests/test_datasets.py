@@ -60,7 +60,7 @@ def test_gen_config_validation():
     with pytest.raises(ValueError):
         GenConfig(m=0)
     with pytest.raises(ValueError):
-        GenConfig(channels=1)
+        GenConfig(seed=-1)
     with pytest.raises(ValueError):
         GenConfig(height=2)
     with pytest.raises(ValueError):

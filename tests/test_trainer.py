@@ -1,5 +1,6 @@
 """Optimizer, schedule, training loop, and checkpoint container."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -214,3 +215,25 @@ def test_checkpoint_rejects_corruption(tiny_cfg, tmp_path):
     p.write_bytes(raw + b"\x01")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(p)
+
+
+def test_container_bytes_are_pinned(tmp_path):
+    # fixed, exactly representable contents: the hashes pin the two
+    # binary formats, not the generator or the training numerics
+    ds = datasets.LabeledDataset(
+        inputs=(np.arange(2 * 3 * 4 * 4, dtype=np.float32) / 128).reshape(
+            2, 3, 4, 4),
+        labels=np.array([[0, 1, 1], [1, 0, 1]], dtype=np.uint8),
+        outlier_mask=np.array([False, True]))
+    datasets.save(ds, tmp_path / "d.vcld")
+    params = {"enc0.w": Tensor(np.arange(6, dtype=np.float32).reshape(2, 3)),
+              "enc0.b": Tensor(np.array([0.5, -0.25, 2.0], dtype=np.float32))}
+    state = init_optim_state(params)
+    state.m = {k: p.data / 4 for k, p in params.items()}
+    state.v = {k: p.data * p.data for k, p in params.items()}
+    save_checkpoint(tmp_path / "c.vclc", params, state, step=7)
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("d.vcld", "c.vclc")}
+    assert digest == {
+        "d.vcld": "7f564e5a0821018c718b506859245a065723f285ab796b652547613f4bcccdda",
+        "c.vclc": "a4ce3a21b713359b2823a84e9e054bf4be7914ab7005d7fb162fc9b438d5d93e"}
