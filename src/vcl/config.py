@@ -12,6 +12,7 @@ section dataclass's ``__post_init__``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from vcl.augmentation import AugmentConfig
@@ -142,6 +143,7 @@ def _value(v, default, path: str, varlen: bool = False):
     the dataclass's to check. A float default takes any number, a None
     default null or an integer, and a tuple default a list of its length
     (of any length when ``varlen``) whose items take its first item's type.
+    A number must be finite.
     """
     if isinstance(default, tuple):
         if not isinstance(v, list) or not (varlen or len(v) == len(default)):
@@ -155,6 +157,9 @@ def _value(v, default, path: str, varlen: bool = False):
     accepted = (int, float) if kind is float else kind
     if not isinstance(v, accepted) or (isinstance(v, bool) and kind is not bool):
         raise ConfigError(path, f"expected {_KINDS[kind]}, got {v!r}")
+    if kind is float and not math.isfinite(v):
+        # json reads NaN and Infinity, and NaN passes every range check
+        raise ConfigError(path, f"expected a finite number, got {v!r}")
     return float(v) if kind is float else v
 
 

@@ -1,9 +1,9 @@
 """Hot numeric kernels, in numpy.
 
-Three kernels dominate the runtime of a training step: the pairwise
-squared-distance matrix and its backward pass, the batched crop and
-resize of the view augmentation, and the fused AdamW parameter update.
-Each accumulates in float64 and returns the storage dtype.
+The kernels of a training step: the pairwise squared-distance matrix
+and its backward pass, the batched crop and resize of the view
+augmentation, and the fused AdamW parameter update. Each accumulates in
+float64 and returns the storage dtype.
 """
 
 from __future__ import annotations
@@ -13,13 +13,40 @@ import functools
 import numpy as np
 
 
+# rows of the distance matrix computed per pass of pairwise_sqdist
+SQDIST_BLOCK = 8
+
+
 def pairwise_sqdist(z: np.ndarray) -> np.ndarray:
-    """Full matrix of squared euclidean distances between rows of z."""
+    """Full matrix of squared euclidean distances between rows of z.
+
+    Each entry is ``einsum("k,k->", diff, diff)`` over the storage-dtype
+    differences z_i - z_j cast to float64, as in the one-shot form over
+    an (n, n, d) difference tensor. Rows are computed SQDIST_BLOCK at a
+    time in reused buffers instead, so memory beyond the output is
+    O(n d). Only columns j >= i are computed and then mirrored: z_j - z_i
+    is exactly -(z_i - z_j), so both triangles hold the same bits. No
+    entry depends on the block size.
+    """
     if z.ndim != 2:
         raise ValueError(f"pairwise_sqdist needs (n, d) input, got {z.shape}")
-    diff = (z[:, None, :] - z[None, :, :]).astype(np.float64)
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    return d2.astype(z.dtype)
+    n, d = z.shape
+    out = np.empty((n, n), dtype=z.dtype)
+    rows = min(SQDIST_BLOCK, n)
+    diff = np.empty(rows * n * d, dtype=z.dtype)
+    diff64 = np.empty(diff.shape, dtype=np.float64)
+    acc = np.empty(rows * n, dtype=np.float64)
+    for i in range(0, n, SQDIST_BLOCK):
+        b, m = min(SQDIST_BLOCK, n - i), n - i
+        dv = diff[:b * m * d].reshape(b, m, d)
+        np.subtract(z[i:i + b, None, :], z[None, i:, :], out=dv)
+        dv64 = diff64[:b * m * d].reshape(b, m, d)
+        dv64[...] = dv
+        av = acc[:b * m].reshape(b, m)
+        np.einsum("ijk,ijk->ij", dv64, dv64, out=av)
+        out[i:i + b, i:] = av
+        out[i:, i:i + b] = av.T
+    return out
 
 
 def pairwise_sqdist_vjp(z: np.ndarray, gout: np.ndarray) -> np.ndarray:

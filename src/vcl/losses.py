@@ -26,6 +26,14 @@ standard normal, keeping the latent space from collapsing or drifting.
 Everything that participates in training returns autograd Tensors;
 scalar reference helpers (``beta_dist_at``, ``kl_gaussian``) compute in
 float64 and return plain floats.
+
+On the tape a contrastive loss is two nodes past the embeddings: the
+similarity matrix (squared distances, or the cosine Gram matrix) and one
+node from there to the mean cross-entropy, with a hand-written backward.
+That node performs the float operations of the chain of elementary ops
+it replaced, in the same order, so losses and gradients are the same to
+the bit; it keeps three (2N)^2 arrays for the backward instead of one
+or more per elementary op.
 """
 
 from __future__ import annotations
@@ -37,9 +45,8 @@ import numpy as np
 
 from vcl import kernels
 from vcl.autograd import (DomainError, ShapeError, Tensor, _accum, add, div,
-                          exp, expm1, gather_rows, log, matmul, mul,
-                          pow_scalar, reshape, scale, sub, tmean, transpose,
-                          tsum)
+                          exp, gather_rows, log, matmul, mul, pow_scalar,
+                          reshape, scale, sub, tmean, transpose, tsum)
 from vcl.model import GaussianParams
 
 SIGN_MODES = ("negated", "literal")
@@ -162,30 +169,44 @@ def l2_normalize_rows(z: Tensor) -> Tensor:
     return mul(z, pow_scalar(reshape(norms, (z.data.shape[0], 1)), -1.0))
 
 
-def _nt_xent_from_similarity(s: Tensor, partner: np.ndarray,
-                             tau: float) -> Tensor:
-    """Contrastive cross-entropy over a similarity matrix.
+def _nt_xent_node(src: Tensor, logits: np.ndarray, partner: np.ndarray,
+                  factors: tuple) -> Tensor:
+    """Contrastive cross-entropy over ``logits`` as one tape node over src.
 
-    Row maxima (diagonal excluded) are subtracted as constants before
-    exponentiation; that shift cancels exactly in the log-sum-exp, so it
-    stabilizes without touching gradients. The diagonal is removed by
-    adding -inf before exp rather than masking after, which keeps 0 * inf
-    out of the backward pass.
+    ``logits`` is a fresh (n, n) array computed elementwise from
+    ``src.data``; it is used as a buffer. ``factors`` are the elementwise
+    derivatives d logits / d src, scalars or (n, n) arrays, multiplied
+    into the cotangent in order. Each anchor row's maximum (diagonal
+    excluded) is subtracted before exponentiation; that shift cancels
+    exactly in the log-sum-exp. The diagonal is removed by adding -inf
+    before exp, so a NaN there still poisons the loss.
+
+    Forward and backward do the float operations, in the same order, of
+    the chain of elementary tape ops this node replaces (kept in
+    tests/test_losses.py), so loss and gradient are the same to the bit;
+    the backward skips the gradients of the constants (row maxima,
+    diagonal gate, positive mask).
     """
-    n = s.data.shape[0]
-    dt = s.data.dtype
-    logits = scale(s, 1.0 / float(tau))
-    eye = np.eye(n, dtype=bool)
-    row_max = np.where(eye, -np.inf, logits.data).max(axis=1)
-    shifted = sub(logits, Tensor(row_max[:, None].astype(dt), dtype=dt))
-    diag_gate = np.where(eye, -np.inf, 0.0).astype(dt)
-    gated = add(shifted, Tensor(diag_gate, dtype=dt))
-    denom = tsum(exp(gated), axis=1)
-    lse = add(log(denom), Tensor(row_max.astype(dt), dtype=dt))
-    pos_mask = np.zeros((n, n), dtype=dt)
-    pos_mask[np.arange(n), partner] = 1.0
-    pos = tsum(mul(logits, Tensor(pos_mask, dtype=dt)), axis=1)
-    return tmean(sub(lse, pos))
+    n = logits.shape[0]
+    rows = np.arange(n)
+    pos = logits[rows, partner]
+    logits.flat[::n + 1] -= np.inf
+    row_max = logits.max(axis=1)
+    e = np.exp(np.subtract(logits, row_max[:, None], out=logits), out=logits)
+    denom = np.sum(e, axis=1, dtype=np.float64).astype(e.dtype)
+    per_row = np.log(denom) + row_max - pos
+    loss = np.asarray(np.mean(per_row, dtype=np.float64)).astype(e.dtype)
+    out = Tensor._from_op(loss, (src,))
+    if out.requires_grad:
+        def backward():
+            g_row = np.broadcast_to(out.grad, (n,)) / n
+            g = e * (g_row / denom)[:, None]
+            g[rows, partner] -= g_row
+            for f in factors:
+                g *= f
+            _accum(src, g)
+        out._backward = backward
+    return out
 
 
 def beta_nt_xent(z: Tensor, partner, cfg: LossConfig) -> Tensor:
@@ -193,6 +214,7 @@ def beta_nt_xent(z: Tensor, partner, cfg: LossConfig) -> Tensor:
 
     z stacks 2N views row-wise; partner[i] is the index of the other
     view of the same sample. Returns the mean over all 2N anchor rows.
+    The tape holds the squared distances and one node for the rest.
     """
     n = z.data.shape[0]
     if z.data.ndim != 2 or n < 4:
@@ -204,12 +226,19 @@ def beta_nt_xent(z: Tensor, partner, cfg: LossConfig) -> Tensor:
     d2 = pairwise_sq_distances(z)
     b = float(cfg.beta)
     s2 = float(cfg.sigma0) ** 2
-    u = add(scale(d2, -b / (2.0 * s2)),
-            Tensor(np.asarray(-(b / 2.0) * math.log(2.0 * math.pi * s2),
-                              dtype=z.data.dtype), dtype=z.data.dtype))
-    dissim = scale(expm1(u), -(b + 1.0) / b)
-    s = scale(dissim, -1.0) if cfg.sign_mode == "negated" else dissim
-    return _nt_xent_from_similarity(s, p, cfg.tau)
+    slope = -b / (2.0 * s2)
+    # the similarity is -beta_dist by default: fold the sign into the
+    # bound (b + 1) / b, which leaves every rounding as it was
+    bound = (b + 1.0) / b if cfg.sign_mode == "negated" else -(b + 1.0) / b
+    inv_tau = 1.0 / float(cfg.tau)
+    em1 = d2.data * slope
+    em1 += np.asarray(-(b / 2.0) * math.log(2.0 * math.pi * s2),
+                      dtype=z.data.dtype)
+    np.expm1(em1, out=em1)
+    logits = em1 * bound
+    logits *= inv_tau
+    em1 += 1.0  # d expm1(u) / du
+    return _nt_xent_node(d2, logits, p, (inv_tau, bound, em1, slope))
 
 
 def nt_xent_cosine(z: Tensor, partner, tau: float) -> Tensor:
@@ -223,7 +252,8 @@ def nt_xent_cosine(z: Tensor, partner, tau: float) -> Tensor:
     p = _validate_partner(partner, n)
     zn = l2_normalize_rows(z)
     sims = matmul(zn, transpose(zn))
-    return _nt_xent_from_similarity(sims, p, tau)
+    inv_tau = 1.0 / float(tau)
+    return _nt_xent_node(sims, sims.data * inv_tau, p, (inv_tau,))
 
 
 def dist_normalizing(g: GaussianParams) -> Tensor:

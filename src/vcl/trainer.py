@@ -328,7 +328,12 @@ def _read_block(read) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<H", read(2, "name length"))
-        name = read(nlen, "name").decode("utf-8")
+        raw_name = read(nlen, "name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(
+                f"tensor name {raw_name!r} is not UTF-8") from None
         (rank,) = struct.unpack("<B", read(1, "rank"))
         if rank > 4:
             raise CheckpointError(f"implausible rank {rank} for {name!r}")

@@ -7,7 +7,7 @@ import pytest
 
 from vcl.cli import main
 from vcl.datasets import load as load_dataset
-from vcl.trainer import load_checkpoint
+from vcl.trainer import CheckpointError, load_checkpoint
 
 TINY = {"steps": 4, "batch_n": 16, "data": {"m": 48}}
 
@@ -134,6 +134,17 @@ def test_out_of_range_integer_flags_are_usage_errors(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_pretrain_rejects_non_finite_config_number(literal, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY)[:-1] + f', "loss": {{"tau": {literal}}}}}',
+                   encoding="utf-8")
+    assert main(["pretrain", "--config", str(cfg),
+                 "--out", str(tmp_path / "r")]) == 2
+    assert "loss.tau" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_pretrain_missing_config_file(tmp_path):
     assert main(["pretrain", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "r")]) == 2
@@ -234,6 +245,20 @@ def test_eval_dimension_mismatch(workspace, tmp_path):
 def test_eval_corrupt_checkpoint(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.vclc"
     bad.write_bytes(b"XXXX" + bytes(64))
+    code = main(["eval", "--checkpoint", str(bad),
+                 "--data", str(workspace["data"]),
+                 "--protocol", "linear", "--out", str(tmp_path / "p")])
+    assert code == 4
+    assert "error:" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_non_utf8_name(workspace, tmp_path, capsys):
+    raw = bytearray((workspace["run"] / "checkpoint.vclc").read_bytes())
+    raw[raw.index(b"enc0.w")] ^= 0x80  # b"e" becomes a bare lead byte
+    bad = tmp_path / "bad.vclc"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="not UTF-8"):
+        load_checkpoint(bad)
     code = main(["eval", "--checkpoint", str(bad),
                  "--data", str(workspace["data"]),
                  "--protocol", "linear", "--out", str(tmp_path / "p")])

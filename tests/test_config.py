@@ -91,6 +91,16 @@ def test_type_and_range_errors_name_their_path():
     with pytest.raises(ConfigError) as err:
         parse_run_config({"augment": {"crop_out": [1.5, 2]}})
     assert err.value.field == "augment.crop_out[0]"
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ConfigError) as err:
+            parse_run_config(json.loads(f'{{"loss": {{"tau": {bad}}}}}'))
+        assert err.value.field == "loss.tau"
+        with pytest.raises(ConfigError) as err:
+            parse_run_config({"optim": {"lr": float(bad)}})
+        assert err.value.field == "optim.lr"
+        with pytest.raises(ConfigError) as err:
+            parse_run_config({"augment": {"crop_scale": [0.5, float(bad)]}})
+        assert err.value.field == "augment.crop_scale[1]"
 
 
 def test_cross_field_validation():

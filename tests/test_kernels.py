@@ -27,6 +27,33 @@ def test_pairwise_sqdist_matches_naive():
     assert np.allclose(out, out.T, atol=1e-5)
 
 
+def _one_shot_sqdist(z):
+    """The unblocked form: one (n, n, d) float64 difference tensor."""
+    diff = (z[:, None, :] - z[None, :, :]).astype(np.float64)
+    return np.einsum("ijk,ijk->ij", diff, diff).astype(z.dtype)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("n", [17, 1023, 1024])
+def test_blocked_pairwise_sqdist_is_bit_equal_to_one_shot(n, offset):
+    # 17 and 1023 end in a partial block, 1024 in a full one; at an
+    # offset of 1e3 a Gram form |a|^2 + |b|^2 - 2 a.b would cancel most
+    # of its digits
+    assert (n % kernels.SQDIST_BLOCK == 0) == (n == 1024)
+    z = np.random.default_rng(n).standard_normal((n, 32)).astype(np.float32)
+    z += np.float32(offset)
+    out = kernels.pairwise_sqdist(z)
+    assert out.dtype == np.float32
+    assert out.tobytes() == _one_shot_sqdist(z).tobytes()
+
+
+def test_blocked_pairwise_sqdist_keeps_float64_storage():
+    z = np.random.default_rng(5).standard_normal((13, 4))
+    out = kernels.pairwise_sqdist(z)
+    assert out.dtype == np.float64
+    assert out.tobytes() == _one_shot_sqdist(z).tobytes()
+
+
 def test_pairwise_sqdist_vjp_matches_finite_differences():
     rng = np.random.default_rng(1)
     z = rng.standard_normal((6, 3))

@@ -2,7 +2,9 @@
 
 Every differentiable loss is compared against an independent plain-loop
 reimplementation on float64 inputs, then against closed-form values
-where the geometry admits one.
+where the geometry admits one. The fused contrastive node is also
+compared, bit for bit in float32, with the chain of elementary tape ops
+it replaced.
 """
 
 import math
@@ -10,12 +12,16 @@ import math
 import numpy as np
 import pytest
 
-from vcl.autograd import DomainError, ShapeError, Tensor, grad_check, tsum
+from vcl import losses, trainer
+from vcl.autograd import (DomainError, ShapeError, Tensor, add, exp, expm1,
+                          grad_check, log, matmul, mul, scale, sub, tmean,
+                          transpose, tsum)
+from vcl.config import parse_run_config
 from vcl.losses import (LossConfig, beta_dist, beta_dist_at, beta_nt_xent,
                         dist_normalizing, dist_similarity, kl_gaussian,
                         l2_normalize_rows, nt_xent_cosine,
                         pairwise_sq_distances, total_loss)
-from vcl.model import GaussianParams
+from vcl.model import GaussianParams, params_fingerprint
 
 CFG = LossConfig()
 PARTNER6 = np.array([1, 0, 3, 2, 5, 4])
@@ -78,6 +84,59 @@ def ref_dist_similarity(mu_i, lv_i, mu_j, lv_j):
 def ref_dist_normalizing(mu, lv):
     per = 0.5 * np.sum(mu ** 2 + np.exp(lv) - 1.0 - lv, axis=1)
     return float(per.mean())
+
+
+# ---------------------------------------------------------------------------
+# the contrastive losses as chains of elementary tape ops: the oracle of
+# the fused node, which must reproduce their float32 bits
+
+def chain_nt_xent(s, partner, tau):
+    n = s.data.shape[0]
+    dt = s.data.dtype
+    logits = scale(s, 1.0 / float(tau))
+    eye = np.eye(n, dtype=bool)
+    row_max = np.where(eye, -np.inf, logits.data).max(axis=1)
+    shifted = sub(logits, Tensor(row_max[:, None].astype(dt), dtype=dt))
+    diag_gate = np.where(eye, -np.inf, 0.0).astype(dt)
+    gated = add(shifted, Tensor(diag_gate, dtype=dt))
+    denom = tsum(exp(gated), axis=1)
+    lse = add(log(denom), Tensor(row_max.astype(dt), dtype=dt))
+    pos_mask = np.zeros((n, n), dtype=dt)
+    pos_mask[np.arange(n), partner] = 1.0
+    pos = tsum(mul(logits, Tensor(pos_mask, dtype=dt)), axis=1)
+    return tmean(sub(lse, pos))
+
+
+def chain_beta_nt_xent(z, partner, cfg):
+    partner = np.asarray(partner)
+    if cfg.normalize_z:
+        z = l2_normalize_rows(z)
+    d2 = pairwise_sq_distances(z)
+    b = float(cfg.beta)
+    s2 = float(cfg.sigma0) ** 2
+    dt = z.data.dtype
+    u = add(scale(d2, -b / (2.0 * s2)),
+            Tensor(np.asarray(-(b / 2.0) * math.log(2.0 * math.pi * s2),
+                              dtype=dt), dtype=dt))
+    dissim = scale(expm1(u), -(b + 1.0) / b)
+    s = scale(dissim, -1.0) if cfg.sign_mode == "negated" else dissim
+    return chain_nt_xent(s, partner, cfg.tau)
+
+
+def chain_nt_xent_cosine(z, partner, tau):
+    zn = l2_normalize_rows(z)
+    return chain_nt_xent(matmul(zn, transpose(zn)), np.asarray(partner), tau)
+
+
+def _loss_and_grad(loss_fn, z0, *args):
+    z = Tensor(z0, requires_grad=True, dtype=z0.dtype)
+    out = loss_fn(z, *args)
+    out.backward()
+    return out.data, z.grad
+
+
+def _pairs(n):
+    return np.arange(n) ^ 1
 
 
 def _z(seed, n=6, d=4, scl=0.6):
@@ -206,6 +265,70 @@ def test_nt_xent_cosine_scale_invariant():
     a = nt_xent_cosine(Tensor(z0, dtype=np.float64), PARTNER6, 0.1)
     b = nt_xent_cosine(Tensor(z0 * 37.0, dtype=np.float64), PARTNER6, 0.1)
     assert abs(float(a.data) - float(b.data)) < 1e-9
+
+
+FUSED_CASES = [
+    pytest.param(("negated", False), id="negated"),
+    pytest.param(("literal", False), id="literal"),
+    pytest.param(("negated", True), id="negated-normalized"),
+    pytest.param(("literal", True), id="literal-normalized"),
+    pytest.param(("cosine", False), id="cosine")]
+
+
+def _fused_and_chain(case):
+    mode, normalize = case
+    if mode == "cosine":
+        return nt_xent_cosine, chain_nt_xent_cosine, (0.07,)
+    cfg = LossConfig(sign_mode=mode, normalize_z=normalize)
+    return beta_nt_xent, chain_beta_nt_xent, (cfg,)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("case", FUSED_CASES)
+def test_fused_contrastive_node_is_bit_equal_to_op_chain(case, n):
+    fused, chain, args = _fused_and_chain(case)
+    rng = np.random.default_rng(n)
+    z0 = (rng.standard_normal((n, 32)) * 0.6).astype(np.float32)
+    loss, grad = _loss_and_grad(fused, z0, _pairs(n), *args)
+    want_loss, want_grad = _loss_and_grad(chain, z0, _pairs(n), *args)
+    assert loss.dtype == grad.dtype == np.float32
+    assert loss.tobytes() == want_loss.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("case", FUSED_CASES)
+def test_fused_contrastive_node_matches_op_chain_in_float64(case):
+    fused, chain, args = _fused_and_chain(case)
+    for seed in range(5):
+        z0 = _z(seed, scl=1.0)
+        loss, grad = _loss_and_grad(fused, z0, PARTNER6, *args)
+        want_loss, want_grad = _loss_and_grad(chain, z0, PARTNER6, *args)
+        assert abs(float(loss) - float(want_loss)) <= 1e-12
+        assert np.abs(grad - want_grad).max() <= 1e-12
+
+
+def test_pretrain_with_op_chain_ends_with_same_parameters(monkeypatch):
+    run = parse_run_config({"steps": 5, "batch_n": 8,
+                            "model": {"hidden_dims": [16]},
+                            "data": {"m": 32, "seed": 3}})
+    ds = trainer.build_dataset(run)
+    fused = trainer.pretrain(run, dataset=ds)
+    monkeypatch.setattr(losses, "beta_nt_xent", chain_beta_nt_xent)
+    chain = trainer.pretrain(run, dataset=ds)
+    assert ([r["total"] for r in fused.step_records]
+            == [r["total"] for r in chain.step_records])
+    assert params_fingerprint(fused.params) == params_fingerprint(chain.params)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("case", FUSED_CASES)
+def test_non_finite_embedding_gives_non_finite_loss(case, bad):
+    fused, _, args = _fused_and_chain(case)
+    z0 = _z(4).astype(np.float32)
+    z0[2, 1] = bad
+    with np.errstate(all="ignore"):
+        out = fused(Tensor(z0), PARTNER6, *args)
+    assert not np.isfinite(out.data)
 
 
 def test_partner_validation():
