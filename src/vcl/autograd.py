@@ -7,7 +7,11 @@ tape (the DAG of parent links); ``Tensor.backward`` topologically sorts
 that DAG once and accumulates vector-Jacobian products into ``.grad``
 buffers. Gradient accumulation is plain addition, so fan-out (one tensor
 feeding several ops) sums contributions and repeated backward passes on
-a freshly built graph are bit-identical.
+a freshly built graph are bit-identical. A backward pass consumes its
+tape: a second one through the same nodes raises ValueError. The binary
+ops compute an operand's vector-Jacobian product only when that operand
+requires gradients, so constants and the input batch cost no backward
+work.
 
 Storage is float32 by default. Reductions (``sum``, ``mean``, ``matmul``
 and the implicit reductions that undo broadcasting) accumulate in
@@ -87,6 +91,10 @@ def _expit(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _consumed() -> None:
+    raise ValueError("this tape was already backpropagated; build it again")
+
+
 class Tensor:
     """Dense array with optional gradient tracking."""
 
@@ -138,6 +146,10 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()
+                # the closure refers to its own node; dropping it breaks
+                # that cycle, so reference counting frees the tape as
+                # soon as its root goes, not the next cyclic collection
+                node._backward = _consumed
 
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
@@ -164,8 +176,10 @@ def add(a: Tensor, b) -> Tensor:
     out = Tensor._from_op(a.data + b.data, (a, b))
     if out.requires_grad:
         def backward():
-            _accum(a, _unbroadcast(out.grad, a.data.shape))
-            _accum(b, _unbroadcast(out.grad, b.data.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(out.grad, a.data.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(out.grad, b.data.shape))
         out._backward = backward
     return out
 
@@ -176,8 +190,10 @@ def sub(a: Tensor, b) -> Tensor:
     out = Tensor._from_op(a.data - b.data, (a, b))
     if out.requires_grad:
         def backward():
-            _accum(a, _unbroadcast(out.grad, a.data.shape))
-            _accum(b, _unbroadcast(-out.grad, b.data.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(out.grad, a.data.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(-out.grad, b.data.shape))
         out._backward = backward
     return out
 
@@ -188,8 +204,10 @@ def mul(a: Tensor, b) -> Tensor:
     out = Tensor._from_op(a.data * b.data, (a, b))
     if out.requires_grad:
         def backward():
-            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
-            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
         out._backward = backward
     return out
 
@@ -202,9 +220,11 @@ def div(a: Tensor, b) -> Tensor:
     out = Tensor._from_op(a.data / b.data, (a, b))
     if out.requires_grad:
         def backward():
-            _accum(a, _unbroadcast(out.grad / b.data, a.data.shape))
-            _accum(b, _unbroadcast(-out.grad * a.data / (b.data * b.data),
-                                   b.data.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(out.grad / b.data, a.data.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(-out.grad * a.data / (b.data * b.data),
+                                       b.data.shape))
         out._backward = backward
     return out
 
@@ -229,8 +249,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor._from_op(_mm(a.data, b.data), (a, b))
     if out.requires_grad:
         def backward():
-            _accum(a, _mm(out.grad, b.data.T))
-            _accum(b, _mm(a.data.T, out.grad))
+            if a.requires_grad:
+                _accum(a, _mm(out.grad, b.data.T))
+            if b.requires_grad:
+                _accum(b, _mm(a.data.T, out.grad))
         out._backward = backward
     return out
 

@@ -27,6 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
+from vcl import kernels
 from vcl.augmentation import (AugmentConfig, augment_views, check_images,
                               draw_params)
 
@@ -242,8 +243,7 @@ def batches(ds: LabeledDataset, n: int, aug: AugmentConfig,
     partner[2 * idx_pairs + 1] = 2 * idx_pairs
     for b in range(start, m // n):
         chosen = order[b * n:(b + 1) * n]
-        rngs = [np.random.default_rng([epoch_seed, 1, int(i)])
-                for i in chosen]
+        rngs = kernels.keyed_rngs((epoch_seed, 1), chosen)
         views = augment_views(np.repeat(ds.inputs[chosen], 2, axis=0),
                               draw_params(aug, rngs), aug)
         yield ViewBatch(views=views, partner=partner.copy(),

@@ -2,8 +2,11 @@
 
 The kernels of a training step: the pairwise squared-distance matrix
 and its backward pass, the batched crop and resize of the view
-augmentation, and the fused AdamW parameter update. Each accumulates in
-float64 and returns the storage dtype.
+augmentation, the fused AdamW parameter update, and the seeding of one
+keyed random stream per view or sample. The numeric kernels accumulate
+in float64 and return the storage dtype. ``keyed_rngs`` runs numpy's
+SeedSequence hash for a whole batch of keys at once; its generators are
+the ones ``np.random.default_rng`` would build, draw for draw.
 """
 
 from __future__ import annotations
@@ -11,10 +14,13 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 # rows of the distance matrix computed per pass of pairwise_sqdist
 SQDIST_BLOCK = 8
+# side of the square tiles in which pairwise_sqdist_vjp symmetrizes
+SYM_TILE = 128
 
 
 def pairwise_sqdist(z: np.ndarray) -> np.ndarray:
@@ -50,13 +56,27 @@ def pairwise_sqdist(z: np.ndarray) -> np.ndarray:
 
 
 def pairwise_sqdist_vjp(z: np.ndarray, gout: np.ndarray) -> np.ndarray:
-    """Backward of pairwise_sqdist: grad_z[i] = 2 sum_j (g[i,j] + g[j,i]) (z_i - z_j)."""
-    if gout.shape != (z.shape[0], z.shape[0]):
+    """Backward of pairwise_sqdist: grad_z[i] = 2 sum_j (g[i,j] + g[j,i]) (z_i - z_j).
+
+    The symmetric sum g + g.T is built in float64 one SYM_TILE square at
+    a time, upper triangle first and then mirrored, instead of through a
+    whole-matrix transpose; each entry is still the one addition
+    g[i,j] + g[j,i].
+    """
+    n = z.shape[0]
+    if gout.shape != (n, n):
         raise ValueError(
-            f"vjp cotangent shape {gout.shape} does not match {z.shape[0]} rows")
-    g = gout.astype(np.float64)
+            f"vjp cotangent shape {gout.shape} does not match {n} rows")
+    gs = np.empty((n, n), dtype=np.float64)
+    for i in range(0, n, SYM_TILE):
+        rows = slice(i, i + SYM_TILE)
+        for j in range(i, n, SYM_TILE):
+            cols = slice(j, j + SYM_TILE)
+            np.add(gout[rows, cols], gout[cols, rows].T, out=gs[rows, cols],
+                   dtype=np.float64)
+            if j != i:
+                gs[cols, rows] = gs[rows, cols].T
     z64 = z.astype(np.float64)
-    gs = g + g.T
     row = gs.sum(axis=1)
     out = 2.0 * (row[:, None] * z64 - gs @ z64)
     return out.astype(z.dtype)
@@ -126,16 +146,133 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def adamw_update(p, g, m, v, t, lr, beta1, beta2, eps, wd):
-    """One decoupled-weight-decay Adam step; returns (p2, m2, v2) out of place."""
+    """One decoupled-weight-decay Adam step; returns (p2, m2, v2) out of place.
+
+    p2 = p - lr * mhat / (sqrt(vhat) + eps) - lr * wd * p, evaluated in
+    float64 in that association, with m2 = beta1 m + (1 - beta1) g and
+    v2 = beta2 v + ((1 - beta2) g) g. The float64 work runs in place in
+    four buffers, so the inputs are not modified.
+    """
     if not (p.shape == g.shape == m.shape == v.shape):
         raise ValueError("adamw_update needs same-shape p, g, m, v")
     if t < 1:
         raise ValueError(f"step count must be >= 1, got {t}")
-    p64 = p.astype(np.float64)
     g64 = g.astype(np.float64)
-    m2 = beta1 * m.astype(np.float64) + (1.0 - beta1) * g64
-    v2 = beta2 * v.astype(np.float64) + (1.0 - beta2) * g64 * g64
-    mhat = m2 / (1.0 - beta1 ** t)
-    vhat = v2 / (1.0 - beta2 ** t)
-    p2 = p64 - lr * mhat / (np.sqrt(vhat) + eps) - lr * wd * p64
+    tmp = np.multiply(g64, 1.0 - beta1)
+    m2 = np.multiply(m, beta1, dtype=np.float64)
+    m2 += tmp
+    np.multiply(g64, 1.0 - beta2, out=tmp)
+    tmp *= g64
+    v2 = np.multiply(v, beta2, dtype=np.float64)
+    v2 += tmp
+    # tmp = sqrt(vhat) + eps; g64 = lr * mhat / tmp
+    np.divide(v2, 1.0 - beta2 ** t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    np.divide(m2, 1.0 - beta1 ** t, out=g64)
+    g64 *= lr
+    g64 /= tmp
+    p2 = p.astype(np.float64)
+    np.multiply(p2, lr * wd, out=tmp)
+    p2 -= g64
+    p2 -= tmp
     return p2.astype(p.dtype), m2.astype(p.dtype), v2.astype(p.dtype)
+
+
+# constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_POOL_SIZE = 4
+
+
+class _SeedWords(ISeedSequence):
+    """Hands PCG64 its four precomputed uint64 seed words."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _uint32_words(key) -> list[int]:
+    """Each non-negative int split into little-endian 32-bit words, as
+    SeedSequence splits its entropy (0 is one word)."""
+    words = []
+    for k in key:
+        k = int(k)
+        if k < 0:
+            raise ValueError(f"key entries must be non-negative, got {k}")
+        words.append(k & _MASK32)
+        while k > _MASK32:
+            k >>= 32
+            words.append(k & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays: each call xors in a
+    running constant, steps the constant by mult and multiplies by it."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return r ^ (r >> np.uint32(16))
+
+
+def keyed_rngs(key, indices) -> list[np.random.Generator]:
+    """One Generator per index, each equal draw for draw to
+    ``np.random.default_rng(list(key) + [i])``.
+
+    The SeedSequence entropy mixing and ``generate_state(4, uint64)`` run
+    once for all indices, in uint32 array arithmetic with numpy's
+    constants and loop order. Each row's four seed words then go to
+    numpy's own PCG64 seeding. Every index must lie in [0, 2**32), so
+    that it is exactly one entropy word.
+    """
+    idx = np.asarray(indices)
+    if idx.ndim != 1:
+        raise ValueError(f"indices must be 1-d, got shape {idx.shape}")
+    if idx.size == 0:
+        return []
+    if (idx.dtype.kind not in "iu" or idx.min() < 0
+            or idx.max() > _MASK32):
+        raise ValueError("indices must be integers in [0, 2**32)")
+    n = idx.size
+    entropy = [np.full(n, w, dtype=np.uint32) for w in _uint32_words(key)]
+    entropy.append(idx.astype(np.uint32))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, len(entropy)):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(entropy[i_src]))
+
+    # generate_state: eight uint32 words cycling over the pool, read as
+    # four little-endian uint64
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(pool[i % _POOL_SIZE])
+                      for i in range(2 * _POOL_SIZE)], axis=1)
+    seeds = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row)))
+            for row in seeds]

@@ -141,9 +141,9 @@ def _outlier_seed(gen_seed: int) -> int:
 def _draw_xi(run_seed: int, step: int, n_views: int, dim: int) -> np.ndarray:
     """Sampling noise, one stream per (seed, step, view index)."""
     out = np.empty((n_views, dim), dtype=np.float32)
-    for i in range(n_views):
-        rng = np.random.default_rng([run_seed, 2, step, i])
-        out[i] = rng.standard_normal(dim).astype(np.float32)
+    rngs = kernels.keyed_rngs((run_seed, 2, step), np.arange(n_views))
+    for i, rng in enumerate(rngs):
+        out[i] = rng.standard_normal(dim)
     return out
 
 

@@ -4,9 +4,13 @@ Linear ops get exact closed-form gradient assertions; the rest run
 seeded finite-difference sweeps through grad_check.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from vcl import autograd, losses, model
 from vcl.autograd import (DomainError, ShapeError, Tensor, _expit, add,
                           clamp, div, exp, expm1, gather_rows, grad_check, log,
                           matmul, mul, pow_scalar, relu, reshape, scale,
@@ -217,6 +221,25 @@ def test_backward_without_tape_rejected():
         t.backward()
 
 
+def test_backward_consumes_and_frees_the_tape():
+    x = Tensor(np.arange(3.0), requires_grad=True, dtype=np.float64)
+    y = exp(x)
+    y_data = weakref.ref(y.data)
+    loss = tsum(y)
+    del y
+    gc.disable()
+    try:
+        loss.backward()
+        with pytest.raises(ValueError):
+            loss.backward()
+        assert np.allclose(x.grad, np.exp(np.arange(3.0)))
+        # no reference cycle is left: dropping the root frees every node
+        del loss
+        assert y_data() is None
+    finally:
+        gc.enable()
+
+
 def test_gradcheck_flags_wrong_gradient():
     def bad(x):
         out = Tensor._from_op(np.exp(x.data), (x,))
@@ -240,3 +263,73 @@ def test_deep_graph_does_not_recurse():
         y = add(y, 0.0)
     tsum(y).backward()
     assert np.allclose(x.grad, [1.0])
+
+
+# ---------------------------------------------------------------------------
+# skipped vector-Jacobian products
+
+def _both_vjps(forward, vjp_a, vjp_b):
+    """A binary op that computes both operands' VJPs, tracked or not, and
+    lets _accum drop the untracked one."""
+
+    def op(a, b):
+        b = autograd._coerce(b, a)
+        out = Tensor._from_op(forward(a.data, b.data), (a, b))
+        if out.requires_grad:
+            def backward():
+                for t, vjp in ((a, vjp_a), (b, vjp_b)):
+                    autograd._accum(t, autograd._unbroadcast(
+                        vjp(out.grad, a.data, b.data), t.data.shape))
+            out._backward = backward
+        return out
+
+    return op
+
+
+BOTH_VJPS = {
+    "add": _both_vjps(np.add, lambda g, a, b: g, lambda g, a, b: g),
+    "sub": _both_vjps(np.subtract, lambda g, a, b: g, lambda g, a, b: -g),
+    "mul": _both_vjps(np.multiply, lambda g, a, b: g * b,
+                      lambda g, a, b: g * a),
+    "div": _both_vjps(np.divide, lambda g, a, b: g / b,
+                      lambda g, a, b: -g * a / (b * b)),
+    "matmul": _both_vjps(lambda a, b: autograd._mm(a, b),
+                         lambda g, a, b: autograd._mm(g, b.T),
+                         lambda g, a, b: autograd._mm(a.T, g)),
+}
+
+
+def test_backward_skips_vjps_of_untracked_operands(monkeypatch):
+    enc = model.EncoderConfig(input_shape=(3, 16, 16), hidden_dims=(256, 256),
+                              embed_dim=64)
+    rng = np.random.default_rng(3)
+    views = rng.uniform(0.0, 1.0, (16, 3, 16, 16)).astype(np.float32)
+    xi = rng.standard_normal((16, 32)).astype(np.float32)
+    partner = np.arange(16) ^ 1
+    calls = []
+    real_mm = autograd._mm
+
+    def counted_mm(x, y):
+        calls.append(x.shape)
+        return real_mm(x, y)
+
+    monkeypatch.setattr(autograd, "_mm", counted_mm)
+
+    def backward():
+        params = model.init_params(enc, 32, seed=0)
+        g = model.gaussian_head(params, model.encode(params, views))
+        z = model.reparameterize(g, xi)
+        loss, _ = losses.total_loss(z, g, partner, losses.LossConfig())
+        calls.clear()
+        loss.backward()
+        return len(calls), {k: p.grad.tobytes() for k, p in params.items()}
+
+    n_skip, skipped = backward()
+    for name, op in BOTH_VJPS.items():
+        for mod in (model, losses):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, op)
+    n_both, both = backward()
+    # six matmuls: two VJPs each, less the input batch's (16, 768) one
+    assert (n_skip, n_both) == (11, 12)
+    assert skipped == both

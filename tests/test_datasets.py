@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vcl.augmentation import AugmentConfig
+from vcl.augmentation import AugmentConfig, augment_views, draw_params
 from vcl.datasets import (MAGIC, DataFormatError, GenConfig, LabeledDataset,
                           batches, dataset_summary, generate_synthetic,
                           inject_outliers, load, save)
@@ -136,6 +136,19 @@ def test_batches_start_skips_exactly():
             assert np.array_equal(x.source_indices, y.source_indices)
     with pytest.raises(ValueError):
         next(batches(ds, 16, aug, epoch_seed=9, start=-1))
+
+
+@pytest.mark.parametrize("n", [2, 128, 512])
+def test_batch_is_bit_equal_to_per_sample_streams(n):
+    ds = generate_synthetic(GenConfig(m=512, seed=4))
+    aug = AugmentConfig()
+    epoch_seed = 2 ** 64 - 5  # two entropy words, as epoch seeds have
+    batch = next(iter(batches(ds, n, aug, epoch_seed=epoch_seed)))
+    rngs = [np.random.default_rng([epoch_seed, 1, int(i)])
+            for i in batch.source_indices]
+    want = augment_views(np.repeat(ds.inputs[batch.source_indices], 2, axis=0),
+                         draw_params(aug, rngs), aug)
+    assert batch.views.tobytes() == want.tobytes()
 
 
 def test_batches_check_inputs_once_per_call():

@@ -142,3 +142,105 @@ def test_adamw_update_zero_grad_only_decays():
     p2, _, _ = kernels.adamw_update(p, np.zeros(1), np.zeros(1), np.zeros(1),
                                     1, 1e-2, 0.9, 0.999, 1e-8, 0.1)
     assert abs(p2[0] - 2.0 * (1.0 - 1e-2 * 0.1)) < 1e-15
+
+
+def _adamw_out_of_place(p, g, m, v, t, lr, beta1, beta2, eps, wd):
+    """The update as whole-array expressions, one temporary per operation."""
+    p64 = p.astype(np.float64)
+    g64 = g.astype(np.float64)
+    m2 = beta1 * m.astype(np.float64) + (1.0 - beta1) * g64
+    v2 = beta2 * v.astype(np.float64) + (1.0 - beta2) * g64 * g64
+    mhat = m2 / (1.0 - beta1 ** t)
+    vhat = v2 / (1.0 - beta2 ** t)
+    p2 = p64 - lr * mhat / (np.sqrt(vhat) + eps) - lr * wd * p64
+    return p2.astype(p.dtype), m2.astype(p.dtype), v2.astype(p.dtype)
+
+
+# the 12 parameter shapes of the 768-256-256-64 encoder with a 32-dim head
+MODEL_SHAPES = [(768, 256), (256,), (256, 256), (256,), (256, 64), (64,),
+                (64, 64), (64,), (64, 32), (32,), (64, 32), (32,)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_update_is_bit_equal_to_out_of_place_form(dtype):
+    rng = np.random.default_rng(6)
+    for shape in MODEL_SHAPES:
+        p, g, m = (rng.standard_normal(shape).astype(dtype) for _ in range(3))
+        v = np.abs(rng.standard_normal(shape)).astype(dtype) * 1e-3
+        before = [a.copy() for a in (p, g, m, v)]
+        for t in (1, 2, 500):
+            got = kernels.adamw_update(p, g, m, v, t, 3e-3, 0.9, 0.999,
+                                       1e-8, 0.05)
+            want = _adamw_out_of_place(p, g, m, v, t, 3e-3, 0.9, 0.999,
+                                       1e-8, 0.05)
+            for x, y in zip(got, want):
+                assert x.dtype == dtype
+                assert x.tobytes() == y.tobytes()
+        for a, b in zip((p, g, m, v), before):
+            assert a.tobytes() == b.tobytes()
+
+
+def _sqdist_vjp_whole_matrix(z, gout):
+    """The backward with the symmetric sum as one whole-matrix g + g.T."""
+    g = gout.astype(np.float64)
+    z64 = z.astype(np.float64)
+    gs = g + g.T
+    row = gs.sum(axis=1)
+    out = 2.0 * (row[:, None] * z64 - gs @ z64)
+    return out.astype(z.dtype)
+
+
+@pytest.mark.parametrize("n", [17, 1023, 1024])
+def test_tiled_sqdist_vjp_is_bit_equal_to_whole_matrix_form(n):
+    # 17 is below one tile; 1023 ends in a partial tile, 1024 does not
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((n, 32)).astype(np.float32)
+    gout = rng.standard_normal((n, n)).astype(np.float32)
+    out = kernels.pairwise_sqdist_vjp(z, gout)
+    assert out.dtype == np.float32
+    assert out.tobytes() == _sqdist_vjp_whole_matrix(z, gout).tobytes()
+    g64 = gout.astype(np.float64)
+    assert (kernels.pairwise_sqdist_vjp(z, g64).tobytes()
+            == _sqdist_vjp_whole_matrix(z, g64).tobytes())
+
+
+def _default_rngs(key, indices):
+    """The per-row derivation: one SeedSequence and PCG64 seeding each."""
+    return [np.random.default_rng(list(key) + [int(i)]) for i in indices]
+
+
+KEYS = {
+    "one_word": (7,),
+    "zero": (0,),
+    "empty": (),
+    "uint64_epoch_seed": (2 ** 64 - 1, 1),
+    "multi_word": (12345678901234567890, 2, 3),
+    "past_pool": (2 ** 40, 2 ** 33, 9, 1, 5),
+}
+
+
+@pytest.mark.parametrize("key", KEYS.values(), ids=KEYS.keys())
+def test_keyed_rngs_equal_default_rng_streams(key):
+    indices = np.array([0, 1, 7, 2 ** 31, 2 ** 32 - 1], dtype=np.uint64)
+    got = kernels.keyed_rngs(key, indices)
+    assert len(got) == len(indices)
+    for rng, want, i in zip(got, _default_rngs(key, indices), indices):
+        words = np.random.SeedSequence(list(key) + [int(i)]).generate_state(
+            4, np.uint64)
+        assert (rng.bit_generator.seed_seq.generate_state(4, np.uint64)
+                .tobytes() == words.tobytes())
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert rng.standard_normal(9).tobytes() == \
+            want.standard_normal(9).tobytes()
+        assert rng.uniform(0, 1, 20).tobytes() == \
+            want.uniform(0, 1, 20).tobytes()
+
+
+def test_keyed_rngs_reject_indices_outside_uint32():
+    assert kernels.keyed_rngs((1, 2), []) == []
+    for bad in ([-1], [0, 2 ** 32], np.array([2 ** 40]), [0.5],
+                np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(ValueError):
+            kernels.keyed_rngs((1, 2), bad)
+    with pytest.raises(ValueError):
+        kernels.keyed_rngs((-1, 2), [0])

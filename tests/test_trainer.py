@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from vcl import datasets
+from vcl import datasets, kernels, trainer
 from vcl.autograd import Tensor
 from vcl.model import params_fingerprint
 from vcl.trainer import (CKPT_MAGIC, CheckpointError, NanLossError, Schedule,
@@ -81,6 +81,30 @@ def test_pretrain_is_deterministic(tiny_cfg):
     assert len(a.step_records) == 6
     c = pretrain(tiny_cfg(steps=6, seed=1))
     assert params_fingerprint(a.params) != params_fingerprint(c.params)
+
+
+def _default_rngs(key, indices):
+    """The per-row stream derivation that kernels.keyed_rngs replaces."""
+    return [np.random.default_rng(list(key) + [int(i)]) for i in indices]
+
+
+@pytest.mark.parametrize("n", [2, 128, 512])
+def test_draw_xi_is_bit_equal_to_per_view_streams(n):
+    got = trainer._draw_xi(11, 37, 2 * n, 32)
+    want = np.stack([rng.standard_normal(32).astype(np.float32)
+                     for rng in _default_rngs((11, 2, 37), range(2 * n))])
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
+def test_pretrain_with_per_row_streams_ends_with_same_parameters(
+        tiny_cfg, monkeypatch):
+    run = tiny_cfg(steps=5)
+    fast = pretrain(run)
+    monkeypatch.setattr(kernels, "keyed_rngs", _default_rngs)
+    slow = pretrain(run)
+    assert params_fingerprint(fast.params) == params_fingerprint(slow.params)
+    assert _records_sans_wall(fast) == _records_sans_wall(slow)
 
 
 def test_pretrain_writes_checkpoints(tiny_cfg, tmp_path):
