@@ -75,14 +75,16 @@ def check_images(x: np.ndarray, cfg: AugmentConfig) -> None:
 
 def draw_params(cfg: AugmentConfig, rngs) -> np.ndarray:
     """Parameters of two views per generator, one row per view in PARAMS
-    order. Each generator draws its pair with one uniform call, which
-    yields the same doubles as twenty scalar draws in the same order."""
+    order. Each generator draws twenty unit doubles, and all rows are
+    scaled at once as low + (high - low) * u, the formula numpy's
+    ``uniform`` applies, so every row equals twenty scalar
+    ``uniform(low, high)`` draws in the same order."""
     bounds = np.array([cfg.crop_scale] + [(0.0, 1.0)] * 5
                       + [cfg.brightness, cfg.contrast, cfg.saturation,
                          cfg.hue], dtype=np.float64)
     low, high = np.tile(bounds, (2, 1)).T
-    return np.stack([rng.uniform(low, high) for rng in rngs]).reshape(
-        -1, len(PARAMS))
+    u = np.stack([rng.random(low.size) for rng in rngs])
+    return (low + (high - low) * u).reshape(-1, len(PARAMS))
 
 
 def _luma(y: np.ndarray) -> np.ndarray:

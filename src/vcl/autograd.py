@@ -7,8 +7,12 @@ tape (the DAG of parent links); ``Tensor.backward`` topologically sorts
 that DAG once and accumulates vector-Jacobian products into ``.grad``
 buffers. Gradient accumulation is plain addition, so fan-out (one tensor
 feeding several ops) sums contributions and repeated backward passes on
-a freshly built graph are bit-identical. A backward pass consumes its
-tape: a second one through the same nodes raises ValueError. The binary
+a freshly built graph are bit-identical. The root of a backward pass is
+a scalar loss seeded with 1, or a tensor of any shape seeded with a
+given cotangent, so a caller that knows the gradient of a loss with
+respect to some output need not record the loss itself. A backward pass
+consumes its tape: a second one through the same nodes raises
+ValueError. The binary
 ops compute an operand's vector-Jacobian product only when that operand
 requires gradients, so constants and the input batch cost no backward
 work.
@@ -120,10 +124,23 @@ class Tensor:
         out._backward = None
         return out
 
-    def backward(self) -> None:
-        if self.data.size != 1:
-            raise ShapeError(
-                f"backward needs a scalar loss, got shape {self.data.shape}")
+    def backward(self, grad=None) -> None:
+        """Backpropagate from this tensor into every tracked leaf's .grad.
+
+        With no ``grad`` the root must be a scalar and is seeded with 1.
+        ``grad`` seeds a root of any shape with that cotangent, cast to
+        the root's dtype; it must have the root's shape. Seeding y with
+        g gives the same bits as backpropagating sum(y * g) when g has
+        no negative zero.
+        """
+        if grad is None:
+            if self.data.size != 1:
+                raise ShapeError(
+                    f"backward needs a scalar loss, got shape {self.data.shape}")
+            grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.data.shape:
+            raise ShapeError(f"backward seed of shape {np.shape(grad)} for "
+                             f"a root of shape {self.data.shape}")
         if not self.requires_grad:
             raise ValueError("tensor is not recorded on a tape")
         # iterative post-order: deep graphs must not hit the recursion limit
@@ -142,7 +159,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        self.grad = np.array(grad, dtype=self.data.dtype)
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()

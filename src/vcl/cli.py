@@ -36,8 +36,8 @@ from vcl.datasets import save as save_dataset
 from vcl.evaluation import (FinetuneConfig, ProbeConfig, linear_probe,
                             low_shot_finetune, train_test_split)
 from vcl.gradcheck import run_suite, suite_report
-from vcl.trainer import (NanLossError, build_dataset, load_checkpoint,
-                         pretrain)
+from vcl.trainer import (NanLossError, ResumeError, build_dataset,
+                         load_checkpoint, pretrain)
 
 EXIT_OK = 0
 EXIT_GRADCHECK = 1
@@ -119,6 +119,8 @@ def cmd_pretrain(args) -> int:
         print(f"error: {err} (diagnostics in {out / 'nan_dump.json'})",
               file=sys.stderr)
         return EXIT_NAN
+    except ResumeError as err:
+        raise ArtifactError(str(err)) from err
 
     _write_jsonl(out / "metrics.jsonl", result.step_records)
     _write_jsonl(out / "epochs.jsonl", result.epoch_records)

@@ -1,11 +1,19 @@
 """Evaluation protocols: linear probing and low-shot fine-tuning.
 
-The linear probe freezes the encoder, computes embeddings once, and
-trains an affine head with a stable binary cross-entropy
-(softplus(x) - x y) under AdamW for a fixed budget. Low-shot keeps a
-cloned encoder trainable, draws a label-stratified subsample of the
-training split, and fine-tunes end to end. Both report per-attribute
-and mean accuracies at the 0.5 threshold.
+The linear probe freezes the encoder, computes embeddings once on
+untracked copies of its parameters, and trains an affine head under
+AdamW for a fixed budget. Low-shot keeps a cloned encoder trainable,
+draws a label-stratified subsample of the training split, and fine-tunes
+end to end. Both report per-attribute and mean accuracies at the 0.5
+threshold.
+
+Both heads minimise the mean binary cross-entropy softplus(x) - x y over
+their logits x, but the loss value is never formed: nothing reads it.
+``_bce_grad`` computes its gradient with respect to the logits in
+closed form, with the float32 operations the recorded loss chain used
+in its backward pass, and the tape is seeded there with
+``logits.backward(g)``. Only the affine map (and the encoder, for
+low-shot) is recorded, so the heads train on the same bits as before.
 """
 
 from __future__ import annotations
@@ -15,8 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from vcl.autograd import (Tensor, _expit, add, matmul, mul, softplus, sub,
-                          tmean)
+from vcl.autograd import Tensor, _expit, add, matmul
 from vcl.datasets import LabeledDataset
 from vcl.model import _glorot, encode, params_fingerprint
 from vcl.trainer import adamw_step, init_optim_state
@@ -74,9 +81,23 @@ def mean_attribute_accuracy(pred, labels) -> tuple[list, float]:
     return per_attr, float(hits.mean())
 
 
-def _bce(logits: Tensor, targets: Tensor) -> Tensor:
-    # softplus(x) - x*y: the numerically safe form of -log p(y | x)
-    return tmean(sub(softplus(logits), mul(logits, targets)))
+def _bce_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Gradient of mean(softplus(x) - x y) with respect to float32 logits x.
+
+    Equal bit for bit to what backpropagating the recorded chain
+    tmean(sub(softplus(x), mul(x, y))) leaves in x.grad: the mean hands
+    each entry v = 1/n, softplus contributes v * expit(x) and the product
+    (-v) * y. The chain added them to a zero buffer first; that changes
+    no bit, since v * expit(x) is never -0.
+    """
+    v = np.float32(1) / logits.size
+    return v * _expit(logits) + (-v) * targets
+
+
+def _untracked(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    # the same arrays without requires_grad, so a forward pass records
+    # no tape
+    return {k: Tensor(p.data) for k, p in params.items()}
 
 
 def _check_split(train_ds: LabeledDataset, test_ds: LabeledDataset) -> None:
@@ -113,14 +134,15 @@ def linear_probe(params: dict[str, Tensor], train_ds: LabeledDataset,
                  cfg: ProbeConfig = ProbeConfig()) -> ProbeResult:
     """Frozen-encoder linear evaluation.
 
-    Embeddings are computed once and detached; only the affine head
+    Embeddings are computed once, without a tape; only the affine head
     trains. The encoder parameter bytes are fingerprinted before and
     after as a hard guarantee that probing cannot leak into the model.
     """
     _check_split(train_ds, test_ds)
     before = params_fingerprint(params)
-    feats_train = encode(params, train_ds.inputs).data.copy()
-    feats_test = encode(params, test_ds.inputs).data.copy()
+    frozen = _untracked(params)
+    feats_train = encode(frozen, train_ds.inputs).data
+    feats_test = encode(frozen, test_ds.inputs).data
 
     rng = np.random.default_rng(cfg.seed)
     a = train_ds.labels.shape[1]
@@ -131,11 +153,10 @@ def linear_probe(params: dict[str, Tensor], train_ds: LabeledDataset,
     }
     state = init_optim_state(head, lr=cfg.lr, weight_decay=cfg.weight_decay)
     feats = Tensor(feats_train)
-    targets = Tensor(train_ds.labels.astype(np.float32))
+    targets = train_ds.labels.astype(np.float32)
     for _ in range(cfg.steps):
         logits = add(matmul(feats, head["probe.w"]), head["probe.b"])
-        loss = _bce(logits, targets)
-        loss.backward()
+        logits.backward(_bce_grad(logits.data, targets))
         grads = {k: p.grad for k, p in head.items()}
         head, state = adamw_step(head, grads, state)
 
@@ -199,7 +220,7 @@ def low_shot_finetune(params: dict[str, Tensor], fraction: float,
     rng = np.random.default_rng(cfg.seed)
     idx = stratified_subsample(train_ds.labels, fraction, rng)
     sub_inputs = train_ds.inputs[idx]
-    sub_targets = Tensor(train_ds.labels[idx].astype(np.float32))
+    sub_targets = train_ds.labels[idx].astype(np.float32)
 
     trainable = {k: Tensor(params[k].data.copy(), requires_grad=True)
                  for k in params if k.startswith("enc")}
@@ -213,13 +234,12 @@ def low_shot_finetune(params: dict[str, Tensor], fraction: float,
     for _ in range(cfg.steps):
         h = encode(trainable, sub_inputs)
         logits = add(matmul(h, trainable["probe.w"]), trainable["probe.b"])
-        loss = _bce(logits, sub_targets)
-        loss.backward()
+        logits.backward(_bce_grad(logits.data, sub_targets))
         grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
                  for k, p in trainable.items()}
         trainable, state = adamw_step(trainable, grads, state)
 
-    h_test = encode(trainable, test_ds.inputs).data
+    h_test = encode(_untracked(trainable), test_ds.inputs).data
     test_logits = (h_test @ trainable["probe.w"].data
                    + trainable["probe.b"].data)
     per_attr, mean_acc = mean_attribute_accuracy(_expit(test_logits),

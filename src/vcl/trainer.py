@@ -48,6 +48,10 @@ class CheckpointError(FormatError):
     """Checkpoint file violates the container format."""
 
 
+class ResumeError(ValueError):
+    """A readable checkpoint cannot continue this run."""
+
+
 @dataclass(frozen=True)
 class Schedule:
     base_lr: float
@@ -211,8 +215,9 @@ def pretrain(run: RunConfig, out_dir=None, resume=None,
         ck = load_checkpoint(resume)
         params = ck.params
         if ck.step >= run.steps:
-            raise ValueError(
-                f"checkpoint step {ck.step} is past the budget {run.steps}")
+            raise ResumeError(
+                f"checkpoint is at step {ck.step}, not below the run's "
+                f"budget of {run.steps} steps: nothing to resume")
         state = OptimState(m=ck.m, v=ck.v, t=ck.step, lr=run.optim.lr,
                            beta1=run.optim.beta1, beta2=run.optim.beta2,
                            eps=run.optim.eps,

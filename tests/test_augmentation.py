@@ -174,6 +174,31 @@ def test_drawn_parameters_equal_scalar_draws():
                 assert (p["jit"] < cfg.jitter_prob) == d["jit"]
 
 
+def _uniform_draw_params(cfg, rngs):
+    """Each generator's pair as one uniform(low, high) call with array
+    bounds, the form draw_params replaced."""
+    bounds = np.array([cfg.crop_scale] + [(0.0, 1.0)] * 5
+                      + [cfg.brightness, cfg.contrast, cfg.saturation,
+                         cfg.hue], dtype=np.float64)
+    low, high = np.tile(bounds, (2, 1)).T
+    return np.stack([rng.uniform(low, high) for rng in rngs]).reshape(
+        -1, len(PARAMS))
+
+
+@pytest.mark.parametrize("n", [1, 128, 512])
+def test_draw_params_is_bit_equal_to_per_stream_uniform(n):
+    odd = AugmentConfig(crop_scale=(0.13, 0.97), brightness=(0.3, 2.7),
+                        contrast=(1e-3, 1e3), saturation=(0.5, 0.5),
+                        hue=(0.77, 1.31))
+    for cfg in (AugmentConfig(), odd):
+        for seed in range(5):
+            rows, ref = (f(cfg, [np.random.default_rng([seed, 1, i])
+                                 for i in range(n)])
+                         for f in (draw_params, _uniform_draw_params))
+            assert rows.shape == (2 * n, len(PARAMS))
+            assert rows.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("cfg", [AugmentConfig(), IDENTITY, ALWAYS,
                                  SMALLEST_CROP],
                          ids=["default", "identity", "always", "min_crop"])

@@ -240,6 +240,41 @@ def test_backward_consumes_and_frees_the_tape():
         gc.enable()
 
 
+def _two_layer(rng):
+    w1 = Tensor(rng.standard_normal((5, 7)), requires_grad=True)
+    b1 = Tensor(rng.standard_normal(7), requires_grad=True)
+    w2 = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+    x = Tensor(rng.standard_normal((6, 5)))
+    y = add(matmul(relu(add(matmul(x, w1), b1)), w2), b1.data[:3])
+    return y, (w1, b1, w2)
+
+
+def test_seeded_backward_equals_weighted_sum_loss():
+    for seed in range(5):
+        g = np.random.default_rng([seed, 1]).standard_normal(
+            (6, 3)).astype(np.float32)
+        y, leaves = _two_layer(np.random.default_rng(seed))
+        y.backward(g)
+        y_ref, ref = _two_layer(np.random.default_rng(seed))
+        tsum(mul(y_ref, Tensor(g))).backward()
+        for t, r in zip(leaves, ref):
+            assert t.grad.dtype == r.grad.dtype == np.float32
+            assert t.grad.tobytes() == r.grad.tobytes()
+
+
+def test_seeded_backward_checks_shape_and_spent_tape():
+    y, (w1, _, _) = _two_layer(np.random.default_rng(0))
+    for bad in (np.ones((3, 6)), np.ones(18), np.ones(())):
+        with pytest.raises(ShapeError):
+            y.backward(bad)
+    assert w1.grad is None
+    y.backward(np.ones((6, 3)))
+    with pytest.raises(ValueError):
+        y.backward(np.ones((6, 3)))
+    with pytest.raises(ShapeError):
+        y.backward()  # a non-scalar root still needs a seed
+
+
 def test_gradcheck_flags_wrong_gradient():
     def bad(x):
         out = Tensor._from_op(np.exp(x.data), (x,))

@@ -174,6 +174,19 @@ def test_pretrain_nan_abort(tmp_path, capsys):
     assert {"step", "l_beta", "l_dist", "l_norm", "total"} <= set(dump)
 
 
+def test_pretrain_resume_past_budget_is_artifact_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, extra={"steps": 2})
+    run_dir = tmp_path / "run"
+    assert main(["pretrain", "--config", str(cfg),
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert main(["pretrain", "--config", str(cfg), "--out", str(run_dir),
+                 "--resume", str(run_dir / "checkpoint.vclc")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint is at step 2")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # eval
 

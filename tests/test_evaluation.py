@@ -1,14 +1,18 @@
 """Probe protocols: linear evaluation, low-shot fine-tuning, splits."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from vcl.autograd import Tensor
+from vcl import evaluation
+from vcl.autograd import Tensor, mul, softplus, sub, tmean
 from vcl.datasets import GenConfig, LabeledDataset, generate_synthetic
-from vcl.evaluation import (FinetuneConfig, ProbeConfig, linear_probe,
-                            low_shot_finetune, mean_attribute_accuracy,
-                            stratified_subsample, train_test_split)
-from vcl.model import params_fingerprint
+from vcl.evaluation import (FinetuneConfig, ProbeConfig, _bce_grad,
+                            linear_probe, low_shot_finetune,
+                            mean_attribute_accuracy, stratified_subsample,
+                            train_test_split)
+from vcl.model import EncoderConfig, init_params, params_fingerprint
 
 
 def _identity_setup(m=400, a=4, margin=0.5):
@@ -136,3 +140,93 @@ def test_probe_config_validation():
         ProbeConfig(lr=0.0)
     with pytest.raises(ValueError):
         FinetuneConfig(weight_decay=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# the heads' closed-form BCE cotangent against the recorded loss chain
+
+def _taped_bce(logits: Tensor, targets: Tensor) -> Tensor:
+    # softplus(x) - x*y: the numerically safe form of -log p(y | x)
+    return tmean(sub(softplus(logits), mul(logits, targets)))
+
+
+def _taped_bce_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    x = Tensor(logits, requires_grad=True)
+    _taped_bce(x, Tensor(targets)).backward()
+    return x.grad
+
+
+def test_bce_grad_is_bit_equal_to_taped_chain():
+    rng = np.random.default_rng(0)
+    special = np.array([0.0, -0.0, 1e4, -1e4, 1.0, -1.0, 88.0, -104.0],
+                       dtype=np.float32)
+    for shape in ((1638, 8), (163, 8), (3, 5), (1, 1)):
+        x = (rng.standard_normal(shape) * 6).astype(np.float32)
+        x.flat[:min(x.size, special.size)] = special[:x.size]
+        y = rng.integers(0, 2, size=shape).astype(np.float32)
+        g = _bce_grad(x, y)
+        ref = _taped_bce_grad(x, y)
+        assert g.dtype == ref.dtype == np.float32
+        assert g.tobytes() == ref.tobytes(), shape
+
+
+def _small_encoder_setup():
+    # 120 training rows: n = 960 and 480 logits, not powers of two, so
+    # the scaling by 1/n rounds
+    ds = generate_synthetic(GenConfig(m=150, seed=3))
+    params = init_params(EncoderConfig(input_shape=(3, 16, 16),
+                                       hidden_dims=(32,), embed_dim=8),
+                         head_dim=4, seed=1)
+    return params, *train_test_split(ds, 0.2, seed=0)
+
+
+def _run_protocols(monkeypatch):
+    """Both protocols on a small encoder, with the last parameters each
+    one's optimizer returned."""
+    params, train_ds, test_ds = _small_encoder_setup()
+    last = {}
+    step = evaluation.adamw_step
+
+    def recording_step(p, grads, state):
+        out = step(p, grads, state)
+        last["params"] = out[0]
+        return out
+    monkeypatch.setattr(evaluation, "adamw_step", recording_step)
+    results = []
+    for run in (lambda: linear_probe(params, train_ds, test_ds,
+                                     ProbeConfig(steps=40, seed=2)),
+                lambda: low_shot_finetune(params, 0.5, train_ds, test_ds,
+                                          FinetuneConfig(steps=8, seed=2))):
+        res = run()
+        results.append((res.to_dict(),
+                        {k: p.data.tobytes()
+                         for k, p in last["params"].items()}))
+    return results
+
+
+def test_protocols_equal_runs_on_the_taped_chain(monkeypatch):
+    closed_form = _run_protocols(monkeypatch)
+    monkeypatch.setattr(evaluation, "_bce_grad", _taped_bce_grad)
+    assert _run_protocols(monkeypatch) == closed_form
+
+
+def test_protocols_leave_no_tape_for_the_cyclic_collector():
+    params, train_ds, test_ds = _small_encoder_setup()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for run in (lambda: linear_probe(params, train_ds, test_ds,
+                                         ProbeConfig(steps=5)),
+                    lambda: low_shot_finetune(params, 0.5, train_ds, test_ds,
+                                              FinetuneConfig(steps=5))):
+            gc.garbage.clear()
+            run()
+            gc.collect()
+            # numpy's lazily built signatures leave unrelated cycles
+            # behind, so only Tensors count
+            assert not [o for o in gc.garbage if isinstance(o, Tensor)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
