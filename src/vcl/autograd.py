@@ -2,20 +2,22 @@
 
 The engine is deliberately small. A Tensor wraps a numpy array together
 with the parent links and callback needed to replay the chain rule.
-Every op whose inputs require gradients records itself on the implicit
-tape (the DAG of parent links); ``Tensor.backward`` topologically sorts
-that DAG once and accumulates vector-Jacobian products into ``.grad``
-buffers. Gradient accumulation is plain addition, so fan-out (one tensor
-feeding several ops) sums contributions and repeated backward passes on
-a freshly built graph are bit-identical. The root of a backward pass is
-a scalar loss seeded with 1, or a tensor of any shape seeded with a
-given cotangent, so a caller that knows the gradient of a loss with
-respect to some output need not record the loss itself. A backward pass
-consumes its tape: a second one through the same nodes raises
-ValueError. The binary
-ops compute an operand's vector-Jacobian product only when that operand
-requires gradients, so constants and the input batch cost no backward
-work.
+Every op is its checks, its forward expression and one vector-Jacobian
+product (VJP) per operand, handed to ``record``: the one function that
+puts a node on the implicit tape (the DAG of parent links). It records
+only when some operand requires gradients, and its backward step calls
+only the VJPs of operands that do, so constants and the input batch
+cost no backward work; it also sums the cotangent of a broadcast
+operand back to that operand's shape, so no op does either itself.
+``Tensor.backward`` topologically sorts the DAG once and replays those
+steps into ``.grad`` buffers. Gradient accumulation is plain addition,
+so fan-out (one tensor feeding several ops) sums contributions and
+repeated backward passes on a freshly built graph are bit-identical.
+The root of a backward pass is a scalar loss seeded with 1, or a tensor
+of any shape seeded with a given cotangent, so a caller that knows the
+gradient of a loss with respect to some output need not record the loss
+itself. A backward pass consumes its tape: a second one through the
+same nodes raises ValueError.
 
 Storage is float32 by default. Reductions (``sum``, ``mean``, ``matmul``
 and the implicit reductions that undo broadcasting) accumulate in
@@ -113,17 +115,6 @@ class Tensor:
         self._parents: tuple = ()
         self._backward: Callable[[], None] | None = None
 
-    @staticmethod
-    def _from_op(data: np.ndarray, parents: tuple) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = data
-        out.grad = None
-        tracked = any(p.requires_grad for p in parents)
-        out.requires_grad = tracked
-        out._parents = parents if tracked else ()
-        out._backward = None
-        return out
-
     def backward(self, grad=None) -> None:
         """Backpropagate from this tensor into every tracked leaf's .grad.
 
@@ -173,87 +164,69 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
 
-def _coerce(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype), dtype=like.data.dtype)
+def record(data: np.ndarray, parents: tuple, *vjps) -> Tensor:
+    """The output ``data`` of an op over ``parents``, on the tape.
+
+    ``vjps[i]`` maps the output's cotangent to parent i's. If any parent
+    requires gradients, the output keeps its parents and one backward
+    step: for each parent that requires gradients, in order, it calls
+    that parent's VJP, sums the result back to the parent's shape when
+    the parent was broadcast, and adds it to the parent's ``.grad``.
+    """
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.requires_grad = any(p.requires_grad for p in parents)
+    out._parents = ()
+    out._backward = None
+    if out.requires_grad:
+        def backward():
+            for p, vjp in zip(parents, vjps):
+                if p.requires_grad:
+                    g = _unbroadcast(vjp(out.grad), p.data.shape)
+                    if p.grad is None:
+                        p.grad = np.zeros_like(p.data)
+                    p.grad += g
+        out._parents = parents
+        out._backward = backward
+    return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+def _operand(b, a: Tensor) -> Tensor:
+    """b as the second operand of a broadcasting binary op over a."""
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype), dtype=a.data.dtype)
+    _broadcast_shape(a.data.shape, b.data.shape)
+    return b
 
 
 def add(a: Tensor, b) -> Tensor:
-    b = _coerce(b, a)
-    _broadcast_shape(a.data.shape, b.data.shape)
-    out = Tensor._from_op(a.data + b.data, (a, b))
-    if out.requires_grad:
-        def backward():
-            if a.requires_grad:
-                _accum(a, _unbroadcast(out.grad, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(out.grad, b.data.shape))
-        out._backward = backward
-    return out
+    b = _operand(b, a)
+    return record(a.data + b.data, (a, b), lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b) -> Tensor:
-    b = _coerce(b, a)
-    _broadcast_shape(a.data.shape, b.data.shape)
-    out = Tensor._from_op(a.data - b.data, (a, b))
-    if out.requires_grad:
-        def backward():
-            if a.requires_grad:
-                _accum(a, _unbroadcast(out.grad, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(-out.grad, b.data.shape))
-        out._backward = backward
-    return out
+    b = _operand(b, a)
+    return record(a.data - b.data, (a, b), lambda g: g, lambda g: -g)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    b = _coerce(b, a)
-    _broadcast_shape(a.data.shape, b.data.shape)
-    out = Tensor._from_op(a.data * b.data, (a, b))
-    if out.requires_grad:
-        def backward():
-            if a.requires_grad:
-                _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
-        out._backward = backward
-    return out
+    b = _operand(b, a)
+    return record(a.data * b.data, (a, b),
+                  lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a: Tensor, b) -> Tensor:
-    b = _coerce(b, a)
-    _broadcast_shape(a.data.shape, b.data.shape)
+    b = _operand(b, a)
     if (b.data == 0).any():
         raise DomainError("division by zero")
-    out = Tensor._from_op(a.data / b.data, (a, b))
-    if out.requires_grad:
-        def backward():
-            if a.requires_grad:
-                _accum(a, _unbroadcast(out.grad / b.data, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(-out.grad * a.data / (b.data * b.data),
-                                       b.data.shape))
-        out._backward = backward
-    return out
+    return record(a.data / b.data, (a, b), lambda g: g / b.data,
+                  lambda g: -g * a.data / (b.data * b.data))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    out = Tensor._from_op(a.data * s, (a,))
-    if out.requires_grad:
-        def backward():
-            _accum(a, out.grad * s)
-        out._backward = backward
-    return out
+    return record(a.data * s, (a,), lambda g: g * s)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -263,128 +236,62 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(
             f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    out = Tensor._from_op(_mm(a.data, b.data), (a, b))
-    if out.requires_grad:
-        def backward():
-            if a.requires_grad:
-                _accum(a, _mm(out.grad, b.data.T))
-            if b.requires_grad:
-                _accum(b, _mm(a.data.T, out.grad))
-        out._backward = backward
-    return out
+    return record(_mm(a.data, b.data), (a, b), lambda g: _mm(g, b.data.T),
+                  lambda g: _mm(a.data.T, g))
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose needs a 2-d operand, got {a.data.shape}")
-    out = Tensor._from_op(a.data.T.copy(), (a,))
-    if out.requires_grad:
-        def backward():
-            _accum(a, out.grad.T)
-        out._backward = backward
-    return out
+    return record(a.data.T.copy(), (a,), lambda g: g.T)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != a.data.size:
         raise ShapeError(f"cannot reshape {a.data.shape} to {shape}")
-    out = Tensor._from_op(a.data.reshape(shape), (a,))
-    if out.requires_grad:
-        def backward():
-            _accum(a, out.grad.reshape(a.data.shape))
-        out._backward = backward
-    return out
+    return record(a.data.reshape(shape), (a,),
+                  lambda g: g.reshape(a.data.shape))
 
 
 def exp(a: Tensor) -> Tensor:
-    out = Tensor._from_op(np.exp(a.data), (a,))
-    if out.requires_grad:
-        def backward():
-            _accum(a, out.grad * out.data)
-        out._backward = backward
-    return out
-
-
-def expm1(a: Tensor) -> Tensor:
-    """exp(x) - 1 without cancellation near x = 0."""
-    out = Tensor._from_op(np.expm1(a.data), (a,))
-    if out.requires_grad:
-        def backward():
-            _accum(a, out.grad * (out.data + 1.0))
-        out._backward = backward
-    return out
+    data = np.exp(a.data)
+    return record(data, (a,), lambda g: g * data)
 
 
 def log(a: Tensor) -> Tensor:
     if (a.data <= 0).any():
         raise DomainError(
             f"log needs strictly positive input, min was {a.data.min()!r}")
-    out = Tensor._from_op(np.log(a.data), (a,))
-    if out.requires_grad:
-        def backward():
-            _accum(a, out.grad / a.data)
-        out._backward = backward
-    return out
+    return record(np.log(a.data), (a,), lambda g: g / a.data)
 
 
 def pow_scalar(a: Tensor, p: float) -> Tensor:
     p = float(p)
     if not p.is_integer() and (a.data < 0).any():
         raise DomainError(f"x**{p} needs non-negative input")
-    out = Tensor._from_op(np.power(a.data, p), (a,))
-    if out.requires_grad:
-        def backward():
-            _accum(a, out.grad * p * np.power(a.data, p - 1.0))
-        out._backward = backward
-    return out
+    return record(np.power(a.data, p), (a,),
+                  lambda g: g * p * np.power(a.data, p - 1.0))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor._from_op(np.maximum(a.data, 0), (a,))
-    if out.requires_grad:
-        def backward():
-            _accum(a, out.grad * (a.data > 0))
-        out._backward = backward
-    return out
+    return record(np.maximum(a.data, 0), (a,), lambda g: g * (a.data > 0))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient passes where lo <= x <= hi."""
     if lo > hi:
         raise ValueError(f"clamp bounds out of order: {lo} > {hi}")
-    out = Tensor._from_op(np.clip(a.data, lo, hi), (a,))
-    if out.requires_grad:
-        def backward():
-            inside = (a.data >= lo) & (a.data <= hi)
-            _accum(a, out.grad * inside)
-        out._backward = backward
-    return out
-
-
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + exp(x)), computed without overflow for large x."""
-    out = Tensor._from_op(np.logaddexp(0.0, a.data).astype(a.data.dtype),
-                          (a,))
-    if out.requires_grad:
-        def backward():
-            _accum(a, out.grad * _expit(a.data))
-        out._backward = backward
-    return out
+    return record(np.clip(a.data, lo, hi), (a,),
+                  lambda g: g * ((a.data >= lo) & (a.data <= hi)))
 
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     data = np.asarray(np.sum(a.data, axis=axis, keepdims=keepdims,
                              dtype=np.float64)).astype(a.data.dtype)
-    out = Tensor._from_op(data, (a,))
-    if out.requires_grad:
-        def backward():
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.data.shape))
-        out._backward = backward
-    return out
+    kept = axis is None or keepdims
+    return record(data, (a,), lambda g: np.broadcast_to(
+        g if kept else np.expand_dims(g, axis), a.data.shape))
 
 
 def tmean(a: Tensor, axis: int | None = None) -> Tensor:
@@ -393,15 +300,8 @@ def tmean(a: Tensor, axis: int | None = None) -> Tensor:
         raise ShapeError("mean over an empty axis")
     data = np.asarray(np.mean(a.data, axis=axis,
                               dtype=np.float64)).astype(a.data.dtype)
-    out = Tensor._from_op(data, (a,))
-    if out.requires_grad:
-        def backward():
-            g = out.grad
-            if axis is not None:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.data.shape) / n)
-        out._backward = backward
-    return out
+    return record(data, (a,), lambda g: np.broadcast_to(
+        g if axis is None else np.expand_dims(g, axis), a.data.shape) / n)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -411,14 +311,12 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     n = a.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ShapeError(f"gather index out of range for {n} rows")
-    out = Tensor._from_op(a.data[idx], (a,))
-    if out.requires_grad:
-        def backward():
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, out.grad)
-            _accum(a, buf)
-        out._backward = backward
-    return out
+
+    def vjp(g):
+        buf = np.zeros_like(a.data)
+        np.add.at(buf, idx, g)
+        return buf
+    return record(a.data[idx], (a,), vjp)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from vcl.config import (ConfigError, RunConfig, load_run_config,
-                        run_config_to_dict)
+from vcl.config import ConfigError, RunConfig, load_run_config
 from vcl.datasets import FormatError, dataset_summary
 from vcl.datasets import load as load_dataset
 from vcl.datasets import save as save_dataset
@@ -37,7 +36,7 @@ from vcl.evaluation import (FinetuneConfig, ProbeConfig, linear_probe,
                             low_shot_finetune, train_test_split)
 from vcl.gradcheck import run_suite, suite_report
 from vcl.trainer import (NanLossError, ResumeError, build_dataset,
-                         load_checkpoint, pretrain)
+                         load_checkpoint, pretrain, write_json)
 
 EXIT_OK = 0
 EXIT_GRADCHECK = 1
@@ -85,12 +84,6 @@ def _load_config(path: str) -> RunConfig:
     return load_run_config(path)
 
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_jsonl(path: Path, records) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
@@ -111,11 +104,10 @@ def cmd_pretrain(args) -> int:
         run = replace(run, seed=args.seed)
     out = _out_dir(args)
 
-    _write_json(out / "resolved-config.json", run_config_to_dict(run))
     try:
         result = pretrain(run, out_dir=out, resume=args.resume)
     except NanLossError as err:
-        _write_json(out / "nan_dump.json", err.diagnostics)
+        write_json(out / "nan_dump.json", err.diagnostics)
         print(f"error: {err} (diagnostics in {out / 'nan_dump.json'})",
               file=sys.stderr)
         return EXIT_NAN
@@ -162,10 +154,13 @@ def cmd_eval(args) -> int:
     if args.fraction is not None and not 0.0 < args.fraction <= 1.0:
         raise UsageError(f"--fraction must be in (0, 1], got {args.fraction}")
     ck, ds = _load_artifacts(args)
-    out = _out_dir(args)
-
     train_ds, test_ds = train_test_split(ds, test_fraction=0.2,
                                          seed=args.seed)
+    if args.protocol == "lowshot" and args.fraction * len(train_ds) < 1:
+        raise UsageError(f"--fraction {args.fraction} of {len(train_ds)} "
+                         "training rows leaves no row to fine-tune on")
+    out = _out_dir(args)
+
     if args.protocol == "linear":
         result = linear_probe(ck.params, train_ds, test_ds,
                               ProbeConfig(seed=args.seed))
@@ -173,7 +168,7 @@ def cmd_eval(args) -> int:
         result = low_shot_finetune(ck.params, args.fraction, train_ds,
                                    test_ds, FinetuneConfig(seed=args.seed))
 
-    _write_json(out / "probe_result.json", result.to_dict())
+    write_json(out / "probe_result.json", result.to_dict())
     _kv("protocol", result.protocol)
     _kv("mean_acc", result.mean_accuracy)
     _kv("train_size", result.train_size)
@@ -219,8 +214,6 @@ def cmd_ablate(args) -> int:
         name = f"{variant}-tau{tau:g}-beta{beta:g}"
         cell_dir = out / "cells" / name
         cell_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(cell_dir / "resolved-config.json",
-                    run_config_to_dict(cell_run))
         try:
             result = pretrain(cell_run, out_dir=cell_dir)
             _write_jsonl(cell_dir / "metrics.jsonl", result.step_records)
@@ -254,7 +247,7 @@ def cmd_gradcheck(args) -> int:
     results = run_suite(instances=args.instances, seed=args.seed,
                         include_broken=args.include_broken)
     report = suite_report(results)
-    _write_json(out / "gradcheck-report.json", report)
+    write_json(out / "gradcheck-report.json", report)
     _kv("checks", report["total"])
     _kv("failures", report["failures"])
     _kv("passed", report["passed"])
@@ -291,7 +284,7 @@ def cmd_gen_data(args) -> int:
         "gen_seed": gen.seed,
     })
     sidecar = Path(str(out) + ".json")
-    _write_json(sidecar, summary)
+    write_json(sidecar, summary)
 
     _kv("m", summary["m"])
     _kv("attributes", summary["attributes"])

@@ -117,6 +117,10 @@ class RunConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
+        if self.schedule.min_lr > self.optim.lr:
+            # no field is wrong on its own, so name the culprit here
+            raise ConfigError("schedule.min_lr", f"{self.schedule.min_lr} "
+                              f"exceeds optim.lr {self.optim.lr}")
         if self.batch_n > self.data.gen.m:
             raise ValueError(
                 f"batch_n {self.batch_n} exceeds dataset size {self.data.gen.m}")
@@ -175,7 +179,7 @@ def _section(cls, obj, path: str):
     """Build dataclass ``cls`` from a JSON object, every field typed by
     its default and nested sections built the same way. A ValueError of
     the constructor is blamed on the first field that fails on its own,
-    else on the section."""
+    else on the section, unless it is a ConfigError naming its field."""
     if not isinstance(obj, dict):
         raise ConfigError(path, f"expected an object, got {obj!r}")
     kwargs, obj = {}, dict(obj)
@@ -197,6 +201,8 @@ def _section(cls, obj, path: str):
                                  "..." in str(own[key].type))
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except ValueError as err:
         culprit = next((f.name for f in fields(cls) if f.name in kwargs
                         and _fails(cls, f.name, kwargs[f.name])), "")

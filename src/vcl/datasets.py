@@ -268,14 +268,23 @@ def save(ds: LabeledDataset, path) -> None:
     m = len(ds)
     a = ds.labels.shape[1]
     shape = ds.inputs.shape[1:]
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IIII", VERSION, m, a, len(shape)))
+    with write_container(path, MAGIC, VERSION) as fh:
+        fh.write(struct.pack("<III", m, a, len(shape)))
         fh.write(struct.pack(f"<{len(shape)}I", *shape))
         fh.write(np.ascontiguousarray(ds.inputs, dtype="<f4").tobytes())
         fh.write(np.ascontiguousarray(ds.labels, dtype="<u1").tobytes())
         fh.write(np.ascontiguousarray(ds.outlier_mask.astype(np.uint8),
                                       dtype="<u1").tobytes())
+
+
+@contextmanager
+def write_container(path, magic: bytes, version: int):
+    """Create a binary container and yield the file, past the magic and
+    version that ``read_container`` checks."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<I", version))
+        yield fh
 
 
 @contextmanager

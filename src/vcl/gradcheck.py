@@ -128,7 +128,6 @@ def _registry() -> list[Entry]:
             _t(rng, (4, 3))),
         _t(rng, (3, 4))))
     op("exp", lambda rng: (lambda x: ag.tsum(ag.exp(x)), _t(rng, (3, 4))))
-    op("expm1", lambda rng: (lambda x: ag.tsum(ag.expm1(x)), _t(rng, (3, 4))))
     op("log", lambda rng: (lambda x: ag.tsum(ag.log(x)),
                            _t(rng, (3, 4), positive=True)))
     op("pow_square", lambda rng: (lambda x: ag.tsum(ag.pow_scalar(x, 2.0)),
@@ -154,8 +153,6 @@ def _registry() -> list[Entry]:
                 Tensor(x, dtype=np.float64))
     op("clamp", clamp_factory)
 
-    op("softplus", lambda rng: (lambda x: ag.tsum(ag.softplus(x)),
-                                _t(rng, (3, 4))))
     op("sum_all", lambda rng: (lambda x: ag.tsum(x), _t(rng, (3, 4))))
     op("sum_axis0", lambda rng: (
         (lambda c: lambda x: ag.tsum(ag.mul(ag.tsum(x, axis=0), c)))(
@@ -316,12 +313,8 @@ def _registry() -> list[Entry]:
 
 def _broken_exp(a: Tensor) -> Tensor:
     # deliberately wrong VJP used only for the harness self-test
-    out = Tensor._from_op(np.exp(a.data), (a,))
-    if out.requires_grad:
-        def backward():
-            ag._accum(a, out.grad * out.data * 1.1)
-        out._backward = backward
-    return out
+    data = np.exp(a.data)
+    return ag.record(data, (a,), lambda g: g * data * 1.1)
 
 
 def run_suite(instances: int = 20, seed: int = 0,

@@ -24,8 +24,8 @@ through the mixture midpoint), and ``dist_normalizing`` is the KL to a
 standard normal, keeping the latent space from collapsing or drifting.
 
 Everything that participates in training returns autograd Tensors;
-scalar reference helpers (``beta_dist_at``, ``kl_gaussian``) compute in
-float64 and return plain floats.
+the scalar reference ``beta_dist_at`` computes in float64 and returns a
+plain float.
 
 On the tape a contrastive loss is two nodes past the embeddings: the
 similarity matrix (squared distances, or the cosine Gram matrix) and one
@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from vcl import kernels
-from vcl.autograd import (DomainError, ShapeError, Tensor, _accum, add, div,
-                          exp, gather_rows, log, matmul, mul, pow_scalar,
+from vcl.autograd import (DomainError, ShapeError, Tensor, add, div, exp,
+                          gather_rows, log, matmul, mul, pow_scalar, record,
                           reshape, scale, sub, tmean, transpose, tsum)
 from vcl.model import GaussianParams
 
@@ -85,7 +85,7 @@ class LossBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# scalar reference forms (float64, no tape)
+# scalar reference form (float64, no tape)
 
 def beta_dist_at(d: float, cfg: LossConfig) -> float:
     """Beta dissimilarity as a function of squared distance d.
@@ -103,30 +103,6 @@ def beta_dist_at(d: float, cfg: LossConfig) -> float:
     return -((b + 1.0) / b) * math.expm1(u)
 
 
-def beta_dist(z_i, z_j, cfg: LossConfig) -> float:
-    """Beta dissimilarity between two embedding vectors."""
-    a = np.asarray(z_i, dtype=np.float64).reshape(-1)
-    b = np.asarray(z_j, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise ShapeError(f"embedding shapes differ: {a.shape} vs {b.shape}")
-    d = float(np.sum((a - b) ** 2))
-    return beta_dist_at(d, cfg)
-
-
-def kl_gaussian(mu_q, sigma_q, mu_p, sigma_p) -> float:
-    """KL(q || p) between diagonal Gaussians, summed over dimensions."""
-    mq = np.asarray(mu_q, dtype=np.float64).reshape(-1)
-    sq = np.asarray(sigma_q, dtype=np.float64).reshape(-1)
-    mp = np.asarray(mu_p, dtype=np.float64).reshape(-1)
-    sp = np.asarray(sigma_p, dtype=np.float64).reshape(-1)
-    if not (mq.shape == sq.shape == mp.shape == sp.shape):
-        raise ShapeError("kl_gaussian needs four same-length vectors")
-    if (sq <= 0).any() or (sp <= 0).any():
-        raise DomainError("standard deviations must be > 0")
-    return float(np.sum(np.log(sp / sq) + (sq ** 2 + (mq - mp) ** 2)
-                        / (2.0 * sp ** 2) - 0.5))
-
-
 # ---------------------------------------------------------------------------
 # differentiable batch path
 
@@ -138,12 +114,8 @@ def pairwise_sq_distances(z: Tensor) -> Tensor:
     """
     if z.data.ndim != 2:
         raise ShapeError(f"expected (n, d) embeddings, got {z.data.shape}")
-    out = Tensor._from_op(kernels.pairwise_sqdist(z.data), (z,))
-    if out.requires_grad:
-        def backward():
-            _accum(z, kernels.pairwise_sqdist_vjp(z.data, out.grad))
-        out._backward = backward
-    return out
+    return record(kernels.pairwise_sqdist(z.data), (z,),
+                  lambda g: kernels.pairwise_sqdist_vjp(z.data, g))
 
 
 def _validate_partner(partner, n: int) -> np.ndarray:
@@ -196,17 +168,15 @@ def _nt_xent_node(src: Tensor, logits: np.ndarray, partner: np.ndarray,
     denom = np.sum(e, axis=1, dtype=np.float64).astype(e.dtype)
     per_row = np.log(denom) + row_max - pos
     loss = np.asarray(np.mean(per_row, dtype=np.float64)).astype(e.dtype)
-    out = Tensor._from_op(loss, (src,))
-    if out.requires_grad:
-        def backward():
-            g_row = np.broadcast_to(out.grad, (n,)) / n
-            g = e * (g_row / denom)[:, None]
-            g[rows, partner] -= g_row
-            for f in factors:
-                g *= f
-            _accum(src, g)
-        out._backward = backward
-    return out
+
+    def vjp(grad):
+        g_row = np.broadcast_to(grad, (n,)) / n
+        g = e * (g_row / denom)[:, None]
+        g[rows, partner] -= g_row
+        for f in factors:
+            g *= f
+        return g
+    return record(loss, (src,), vjp)
 
 
 def beta_nt_xent(z: Tensor, partner, cfg: LossConfig) -> Tensor:

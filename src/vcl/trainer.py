@@ -15,6 +15,7 @@ diagnostic snapshot; nothing is written past the last good checkpoint.
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 import time
@@ -25,9 +26,10 @@ import numpy as np
 
 from vcl import kernels
 from vcl.autograd import Tensor
-from vcl.config import RunConfig
+from vcl.config import RunConfig, run_config_to_dict
 from vcl.datasets import (FormatError, LabeledDataset, batches,
-                          generate_synthetic, inject_outliers, read_container)
+                          generate_synthetic, inject_outliers, read_container,
+                          write_container)
 from vcl.losses import LossBreakdown, nt_xent_cosine, total_loss
 from vcl.model import (EncoderConfig, GaussianParams, encode, gaussian_head,
                        init_params, reparameterize)
@@ -194,15 +196,22 @@ def _loss_for_batch(run: RunConfig, params: dict[str, Tensor], batch,
     return loss, detail, g
 
 
+def write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def pretrain(run: RunConfig, out_dir=None, resume=None,
              dataset: LabeledDataset | None = None) -> TrainResult:
     """Run the pretraining loop for ``run.steps`` optimizer steps.
 
-    When ``out_dir`` is given, periodic checkpoints (every
-    ``checkpoint_every`` epochs) and a final ``checkpoint.vclc`` are
-    written there. ``resume`` restores params and optimizer state from a
-    checkpoint and continues at its recorded step on the same seed
-    streams, which reproduces the uninterrupted run exactly.
+    When ``out_dir`` is given, the run's ``resolved-config.json``,
+    periodic checkpoints (every ``checkpoint_every`` epochs) and a final
+    ``checkpoint.vclc`` are written there. ``resume`` restores params
+    and optimizer state from a checkpoint and continues at its recorded
+    step on the same seed streams, which reproduces the uninterrupted
+    run exactly.
     """
     ds = dataset if dataset is not None else build_dataset(run)
     enc_cfg = encoder_config_for_run(run)
@@ -236,7 +245,9 @@ def pretrain(run: RunConfig, out_dir=None, resume=None,
                      total_steps=run.steps)
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
+        # only once a resume is accepted: a refused one changes no file
         out_path.mkdir(parents=True, exist_ok=True)
+        write_json(out_path / "resolved-config.json", run_config_to_dict(run))
 
     step_records: list[dict] = []
     epoch_records: list[dict] = []
@@ -354,9 +365,8 @@ def _read_block(read) -> dict[str, np.ndarray]:
 
 def save_checkpoint(path, params: dict[str, Tensor], state: OptimState,
                     step: int) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<IQ", CKPT_VERSION, step))
+    with write_container(path, CKPT_MAGIC, CKPT_VERSION) as fh:
+        fh.write(struct.pack("<Q", step))
         _write_block(fh, {k: p.data for k, p in params.items()})
         _write_block(fh, state.m)
         _write_block(fh, state.v)

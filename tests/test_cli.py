@@ -187,6 +187,28 @@ def test_pretrain_resume_past_budget_is_artifact_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_refused_resume_changes_no_file(tmp_path):
+    run_dir = tmp_path / "run"
+    assert main(["pretrain", "--config", str(write_cfg(tmp_path)),
+                 "--out", str(run_dir)]) == 0
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    other = write_cfg(tmp_path, extra={"seed": 9}, name="seed9.json")
+    assert main(["pretrain", "--config", str(other), "--out", str(run_dir),
+                 "--resume", str(run_dir / "checkpoint.vclc")]) == 4
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+def test_min_lr_above_lr_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, extra={"optim": {"lr": 0.001},
+                                     "schedule": {"min_lr": 0.1}})
+    assert main(["pretrain", "--config", str(cfg),
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: schedule")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -233,6 +255,19 @@ def test_eval_rejects_bad_fraction(workspace, tmp_path):
                  "--protocol", "lowshot", "--fraction", "1.5",
                  "--out", str(tmp_path / "p")])
     assert code == 2
+
+
+def test_eval_lowshot_fraction_leaving_no_row(workspace, tmp_path, capsys):
+    code = main(["eval",
+                 "--checkpoint", str(workspace["run"] / "checkpoint.vclc"),
+                 "--data", str(workspace["data"]),
+                 "--protocol", "lowshot", "--fraction", "0.01",
+                 "--out", str(tmp_path / "p")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --fraction 0.01")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "p").exists()
 
 
 def test_eval_missing_checkpoint(workspace, tmp_path):

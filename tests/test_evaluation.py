@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vcl import evaluation
-from vcl.autograd import Tensor, mul, softplus, sub, tmean
+from vcl.autograd import Tensor, _expit, mul, record, sub, tmean
 from vcl.datasets import GenConfig, LabeledDataset, generate_synthetic
 from vcl.evaluation import (FinetuneConfig, ProbeConfig, _bce_grad,
                             linear_probe, low_shot_finetune,
@@ -147,7 +147,10 @@ def test_probe_config_validation():
 
 def _taped_bce(logits: Tensor, targets: Tensor) -> Tensor:
     # softplus(x) - x*y: the numerically safe form of -log p(y | x)
-    return tmean(sub(softplus(logits), mul(logits, targets)))
+    x = logits.data
+    softplus = record(np.logaddexp(0.0, x).astype(x.dtype), (logits,),
+                      lambda g: g * _expit(x))
+    return tmean(sub(softplus, mul(logits, targets)))
 
 
 def _taped_bce_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:

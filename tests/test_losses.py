@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from vcl import losses, trainer
-from vcl.autograd import (DomainError, ShapeError, Tensor, add, exp, expm1,
-                          grad_check, log, matmul, mul, scale, sub, tmean,
-                          transpose, tsum)
+from vcl.autograd import (DomainError, ShapeError, Tensor, add, exp,
+                          grad_check, log, matmul, mul, record, scale, sub,
+                          tmean, transpose, tsum)
 from vcl.config import parse_run_config
-from vcl.losses import (LossConfig, beta_dist, beta_dist_at, beta_nt_xent,
-                        dist_normalizing, dist_similarity, kl_gaussian,
-                        l2_normalize_rows, nt_xent_cosine,
-                        pairwise_sq_distances, total_loss)
+from vcl.losses import (LossConfig, beta_dist_at, beta_nt_xent,
+                        dist_normalizing, dist_similarity, l2_normalize_rows,
+                        nt_xent_cosine, pairwise_sq_distances, total_loss)
 from vcl.model import GaussianParams, params_fingerprint
 
 CFG = LossConfig()
@@ -118,7 +117,9 @@ def chain_beta_nt_xent(z, partner, cfg):
     u = add(scale(d2, -b / (2.0 * s2)),
             Tensor(np.asarray(-(b / 2.0) * math.log(2.0 * math.pi * s2),
                               dtype=dt), dtype=dt))
-    dissim = scale(expm1(u), -(b + 1.0) / b)
+    em1 = np.expm1(u.data)
+    dissim = scale(record(em1, (u,), lambda g: g * (em1 + 1.0)),
+                   -(b + 1.0) / b)
     s = scale(dissim, -1.0) if cfg.sign_mode == "negated" else dissim
     return chain_nt_xent(s, partner, cfg.tau)
 
@@ -163,15 +164,6 @@ def test_beta_dist_matches_reference_grid():
 
 def test_beta_dist_frozen_oracle_at_zero():
     assert abs(beta_dist_at(0.0, CFG) - BETA_DIST_AT_ZERO) < 1e-13
-
-
-def test_beta_dist_vector_form():
-    a = np.array([1.0, 2.0, -1.0])
-    b = np.array([0.0, 2.0, 1.0])
-    assert abs(beta_dist(a, b, CFG) - beta_dist_at(5.0, CFG)) < 1e-12
-    assert abs(beta_dist(a, a, CFG) - BETA_DIST_AT_ZERO) < 1e-13
-    with pytest.raises(ShapeError):
-        beta_dist(a, b[:2], CFG)
     with pytest.raises(DomainError):
         beta_dist_at(-0.1, CFG)
 
@@ -192,16 +184,6 @@ def test_beta_dist_bounded_influence():
     slope_near = (beta_dist_at(eps, CFG) - beta_dist_at(0.0, CFG)) / eps
     assert slope_far < 1e-6 * slope_near
     assert beta_dist_at(1e9, CFG) < (CFG.beta + 1.0) / CFG.beta + 1e-9
-
-
-def test_kl_gaussian_values():
-    assert kl_gaussian([0.0], [1.0], [0.0], [1.0]) == 0.0
-    want = math.log(2.0) + (1.0 + 1.0) / 8.0 - 0.5
-    assert abs(kl_gaussian([0.0], [1.0], [1.0], [2.0]) - want) < 1e-12
-    with pytest.raises(DomainError):
-        kl_gaussian([0.0], [0.0], [0.0], [1.0])
-    with pytest.raises(ShapeError):
-        kl_gaussian([0.0, 1.0], [1.0], [0.0], [1.0])
 
 
 # ---------------------------------------------------------------------------
