@@ -74,7 +74,12 @@ def _out_dir(args) -> Path:
     if not given:
         raise UsageError("--out is required (or set VCL_OUT_DIR)")
     out = Path(given)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        flag = "--out" if args.out else "VCL_OUT_DIR"
+        raise UsageError(f"{flag} {given} is not a usable directory: "
+                         f"{err.strerror}") from err
     return out
 
 
@@ -269,10 +274,17 @@ def cmd_gen_data(args) -> int:
     except ValueError as err:
         raise UsageError(f"--rho: {err}") from err
 
-    ds = build_dataset(run)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
+    sidecar = Path(str(out) + ".json")
+    for path in (out, sidecar):
+        if path.is_dir():
+            raise UsageError(f"--out {out}: {path} is a directory, not a file")
+    try:
         out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise UsageError(f"--out {out} has no usable parent directory: "
+                         f"{err.strerror}") from err
+    ds = build_dataset(run)
     save_dataset(ds, out)
 
     summary = dict(dataset_summary(ds))
@@ -283,7 +295,6 @@ def cmd_gen_data(args) -> int:
         "outlier_mode": run.data.outlier_mode,
         "gen_seed": gen.seed,
     })
-    sidecar = Path(str(out) + ".json")
     write_json(sidecar, summary)
 
     _kv("m", summary["m"])

@@ -19,7 +19,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,7 +177,6 @@ class TrainResult:
     step_records: list = field(default_factory=list)
     epoch_records: list = field(default_factory=list)
     checkpoint_path: Path | None = None
-    dataset: LabeledDataset | None = None
 
 
 def _loss_for_batch(run: RunConfig, params: dict[str, Tensor], batch,
@@ -211,7 +210,9 @@ def pretrain(run: RunConfig, out_dir=None, resume=None,
     ``checkpoint.vclc`` are written there. ``resume`` restores params
     and optimizer state from a checkpoint and continues at its recorded
     step on the same seed streams, which reproduces the uninterrupted
-    run exactly.
+    run exactly. A checkpoint already at ``run.steps``, or one whose
+    tensor names and shapes differ from the run's model, raises
+    ResumeError before any file is written.
     """
     ds = dataset if dataset is not None else build_dataset(run)
     enc_cfg = encoder_config_for_run(run)
@@ -220,25 +221,21 @@ def pretrain(run: RunConfig, out_dir=None, resume=None,
         raise ValueError(
             f"dataset of {len(ds)} rows cannot fill a batch of {run.batch_n}")
 
+    params = init_params(enc_cfg, run.model.head_dim, run.seed)
+    state = init_optim_state(
+        params, lr=run.optim.lr, beta1=run.optim.beta1,
+        beta2=run.optim.beta2, eps=run.optim.eps,
+        weight_decay=run.optim.weight_decay)
+    step = 0
     if resume is not None:
         ck = load_checkpoint(resume)
-        params = ck.params
         if ck.step >= run.steps:
             raise ResumeError(
                 f"checkpoint is at step {ck.step}, not below the run's "
                 f"budget of {run.steps} steps: nothing to resume")
-        state = OptimState(m=ck.m, v=ck.v, t=ck.step, lr=run.optim.lr,
-                           beta1=run.optim.beta1, beta2=run.optim.beta2,
-                           eps=run.optim.eps,
-                           weight_decay=run.optim.weight_decay)
-        step = ck.step
-    else:
-        params = init_params(enc_cfg, run.model.head_dim, run.seed)
-        state = init_optim_state(
-            params, lr=run.optim.lr, beta1=run.optim.beta1,
-            beta2=run.optim.beta2, eps=run.optim.eps,
-            weight_decay=run.optim.weight_decay)
-        step = 0
+        _check_same_model(ck, params)
+        params, step = ck.params, ck.step
+        state = replace(state, m=ck.m, v=ck.v, t=ck.step)
 
     sched = Schedule(base_lr=run.optim.lr,
                      min_lr=run.schedule.min_lr,
@@ -310,7 +307,7 @@ def pretrain(run: RunConfig, out_dir=None, resume=None,
     return TrainResult(params=params, state=state, step=step,
                        step_records=step_records,
                        epoch_records=epoch_records,
-                       checkpoint_path=final, dataset=ds)
+                       checkpoint_path=final)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +367,24 @@ def save_checkpoint(path, params: dict[str, Tensor], state: OptimState,
         _write_block(fh, {k: p.data for k, p in params.items()})
         _write_block(fh, state.m)
         _write_block(fh, state.v)
+
+
+def _check_same_model(ck: CheckpointData,
+                      params: dict[str, Tensor]) -> None:
+    """Raise ResumeError at the first checkpoint tensor (params, then m,
+    then v) whose name or shape differs from the run's own model."""
+    want = {k: p.data.shape for k, p in params.items()}
+    for block, arrays in (("params", {k: p.data for k, p in
+                                      ck.params.items()}),
+                          ("m", ck.m), ("v", ck.v)):
+        got = {k: a.shape for k, a in arrays.items()}
+        for name in [*want, *(k for k in got if k not in want)]:
+            there, here = got.get(name, "absent"), want.get(name, "absent")
+            if there != here:
+                raise ResumeError(
+                    f"checkpoint was trained on another model: {block} "
+                    f"tensor {name!r} is {there} there and {here} in this "
+                    "run's config")
 
 
 def load_checkpoint(path) -> CheckpointData:

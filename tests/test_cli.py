@@ -71,6 +71,24 @@ def test_gen_data_rejects_bad_rho(tmp_path, capsys):
     assert not out.exists()
 
 
+# a directory where the dataset or its sidecar goes, or a file where the
+# parent directory goes
+@pytest.mark.parametrize("kind,blocker,out", [
+    ("dir", "taken", "taken"), ("dir", "d.vcld.json", "d.vcld"),
+    ("file", "taken", "taken/d.vcld")])
+def test_gen_data_unusable_out_is_usage_error(kind, blocker, out, tmp_path,
+                                              capsys):
+    if kind == "dir":
+        (tmp_path / blocker).mkdir()
+    else:
+        (tmp_path / blocker).write_text("x", encoding="utf-8")
+    assert main(["gen-data", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == [blocker]
+
+
 # ---------------------------------------------------------------------------
 # pretrain
 
@@ -196,6 +214,43 @@ def test_refused_resume_changes_no_file(tmp_path):
     assert main(["pretrain", "--config", str(other), "--out", str(run_dir),
                  "--resume", str(run_dir / "checkpoint.vclc")]) == 4
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+def test_resume_into_another_model_is_artifact_error(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["pretrain", "--config",
+                 str(write_cfg(tmp_path, extra={"steps": 2})),
+                 "--out", str(run_dir)]) == 0
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    capsys.readouterr()
+    narrow = write_cfg(tmp_path, extra={"model": {"hidden_dims": [32]}},
+                       name="narrow.json")
+    assert main(["pretrain", "--config", str(narrow), "--out", str(run_dir),
+                 "--resume", str(run_dir / "checkpoint.vclc")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint was trained on another model")
+    assert "'enc0.w'" in err
+    assert err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("where", ["flag", "env", "under_file"])
+def test_pretrain_unusable_out_is_usage_error(where, tmp_path, monkeypatch,
+                                              capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("x", encoding="utf-8")
+    argv = ["pretrain", "--config", str(write_cfg(tmp_path))]
+    if where == "env":
+        monkeypatch.setenv("VCL_OUT_DIR", str(blocker))
+    else:
+        argv += ["--out", str(blocker / "run" if where == "under_file"
+                              else blocker)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: VCL_OUT_DIR " if where == "env"
+                          else "error: --out ")
+    assert err.count("\n") == 1
+    assert blocker.read_text(encoding="utf-8") == "x"
 
 
 def test_min_lr_above_lr_is_config_error(tmp_path, capsys):

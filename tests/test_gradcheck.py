@@ -48,3 +48,61 @@ def test_suite_report_shape():
 def test_instances_must_be_positive():
     with pytest.raises(ValueError):
         run_suite(instances=0)
+
+
+# name, tol, max_rel_err, passed of every check at instances=2, seed=0 with
+# the self-test: each check's stream is keyed by its name, so a change that
+# keeps an entry's draws and its checked expression keeps its row exactly
+_PINNED_SEED0 = [
+    ("add", 1e-4, 2.7711166694651586e-13, True),
+    ("add_rowvec", 1e-4, 6.110667527533128e-13, True),
+    ("add_colvec", 1e-4, 1.6697754290359567e-13, True),
+    ("add_scalar", 1e-4, 1.1652900866479222e-12, True),
+    ("sub", 1e-4, 2.7711166694651586e-13, True),
+    ("mul", 1e-4, 2.713050434470788e-12, True),
+    ("mul_rowvec", 1e-4, 3.298506050290915e-13, True),
+    ("div_num", 1e-4, 2.8974623077945686e-13, True),
+    ("div_den", 1e-4, 1.7006747525406924e-06, True),
+    ("scale", 1e-4, 9.947598300642392e-14, True),
+    ("matmul_lhs", 1e-4, 2.016957243172726e-12, True),
+    ("matmul_rhs", 1e-4, 9.638999465853907e-13, True),
+    ("transpose", 1e-4, 4.708749364238466e-13, True),
+    ("reshape", 1e-4, 5.644651321099345e-13, True),
+    ("exp", 1e-4, 8.333425992455786e-08, True),
+    ("log", 1e-4, 5.467297755456739e-07, True),
+    ("pow_square", 1e-4, 3.59932065155243e-12, True),
+    ("pow_cube", 1e-4, 1.6865230991773483e-06, True),
+    ("pow_sqrt", 1e-4, 2.1531713461555465e-07, True),
+    ("pow_recip", 1e-4, 1.6505328665688588e-06, True),
+    ("relu", 1e-4, 1.9501337434166425e-13, True),
+    ("clamp", 1e-4, 1.3316118970217904e-13, True),
+    ("sum_all", 1e-4, 1.6697754290359567e-13, True),
+    ("sum_axis0", 1e-4, 1.9877825943818193e-12, True),
+    ("sum_axis1", 1e-4, 1.5604664101234641e-12, True),
+    ("mean_all", 1e-4, 1.1149414724796893e-13, True),
+    ("mean_axis1", 1e-4, 1.655873389964233e-13, True),
+    ("gather_rows", 1e-4, 1.1547572201523664e-11, True),
+    ("pairwise_sqdist", 1e-4, 7.357035595901751e-13, True),
+    ("beta_nt_xent_negated", 1e-3, 1.2170745984173866e-06, True),
+    ("beta_nt_xent_literal", 1e-3, 2.804404443800321e-07, True),
+    ("beta_nt_xent_normalized", 1e-3, 4.935563561647056e-07, True),
+    ("nt_xent_cosine", 1e-3, 1.2432025571512632e-06, True),
+    ("dist_similarity_mu", 1e-3, 8.68069073203814e-10, True),
+    ("dist_similarity_logvar", 1e-3, 6.871484478072728e-08, True),
+    ("dist_normalizing_mu", 1e-3, 2.57470064608745e-11, True),
+    ("dist_normalizing_logvar", 1e-3, 1.94281715560637e-06, True),
+    ("total_loss_mu", 1e-3, 3.279578930146943e-08, True),
+    ("total_loss_logvar", 1e-3, 1.644990810439849e-07, True),
+    ("encode_wrt_first_weight", 1e-3, 2.8638682024747143e-11, True),
+    ("model_end_to_end", 1e-3, 1.0415699659388496e-08, True),
+    ("selftest_broken_op", 1e-4, 0.04761896447509932, False),
+]
+
+
+def test_suite_values_are_pinned():
+    report = suite_report(run_suite(instances=2, seed=0, include_broken=True))
+    got = [(c["name"], c["tol"], c["max_rel_err"], c["passed"])
+           for c in report["checks"]]
+    assert got == _PINNED_SEED0
+    assert (report["total"], report["failures"], report["passed"]) == \
+        (42, 1, False)
