@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import os
 import sys
 from dataclasses import replace
@@ -89,13 +88,6 @@ def _load_config(path: str) -> RunConfig:
     return load_run_config(path)
 
 
-def _write_jsonl(path: Path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True))
-            fh.write("\n")
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -118,9 +110,6 @@ def cmd_pretrain(args) -> int:
         return EXIT_NAN
     except ResumeError as err:
         raise ArtifactError(str(err)) from err
-
-    _write_jsonl(out / "metrics.jsonl", result.step_records)
-    _write_jsonl(out / "epochs.jsonl", result.epoch_records)
 
     _kv("steps", result.step)
     if result.step_records:
@@ -221,7 +210,6 @@ def cmd_ablate(args) -> int:
         cell_dir.mkdir(parents=True, exist_ok=True)
         try:
             result = pretrain(cell_run, out_dir=cell_dir)
-            _write_jsonl(cell_dir / "metrics.jsonl", result.step_records)
             probe = linear_probe(result.params, train_ds, test_ds,
                                  ProbeConfig(seed=cell_run.seed))
             acc = f"{probe.mean_accuracy:.6f}"

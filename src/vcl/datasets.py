@@ -15,14 +15,17 @@ The on-disk format is a little-endian binary container with magic
 "VCLD": version, counts, input shape, then raw float32 inputs, uint8
 labels and the uint8 outlier mask. Loading is strict: bad magic,
 truncation or trailing bytes all raise DataFormatError with an offset.
+Files are written whole or not at all (``atomic_write``).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -278,10 +281,27 @@ def save(ds: LabeledDataset, path) -> None:
 
 
 @contextmanager
+def atomic_write(path, mode: str = "wb", **kwargs):
+    """Yield a file opened with ``mode`` on a temp path beside ``path``,
+    then move it onto ``path`` with ``os.replace``: readers see the old
+    file or the whole new one. If the block raises, the temp file is
+    removed and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
 def write_container(path, magic: bytes, version: int):
     """Create a binary container and yield the file, past the magic and
-    version that ``read_container`` checks."""
-    with open(path, "wb") as fh:
+    version that ``read_container`` checks; see ``atomic_write``."""
+    with atomic_write(path) as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", version))
         yield fh

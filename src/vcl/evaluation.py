@@ -8,12 +8,14 @@ end to end. Both report per-attribute and mean accuracies at the 0.5
 threshold.
 
 Both heads minimise the mean binary cross-entropy softplus(x) - x y over
-their logits x, but the loss value is never formed: nothing reads it.
-``_bce_grad`` computes its gradient with respect to the logits in
-closed form, with the float32 operations the recorded loss chain used
-in its backward pass, and the tape is seeded there with
-``logits.backward(g)``. Only the affine map (and the encoder, for
-low-shot) is recorded, so the heads train on the same bits as before.
+their logits x = h w + b, but neither the loss value nor the head is
+recorded: ``_head_grads`` computes the logits, the loss gradient g with
+respect to them (``_bce_grad``, in closed form) and the head's own
+gradients h^T g and sum(g) with the same float64 products and sums the
+tape's matmul and add nodes evaluated, so the heads train on the same
+bits as a taped head would. The probe casts its frozen features to
+float64 once and records no tape at all; low-shot records only the
+encoder, whose tape is seeded with the cotangent g w^T of its output h.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from vcl.autograd import Tensor, _expit, add, matmul
+from vcl.autograd import Tensor, _expit
 from vcl.datasets import LabeledDataset
 from vcl.model import _glorot, encode, params_fingerprint
 from vcl.trainer import adamw_step, init_optim_state
@@ -94,6 +96,24 @@ def _bce_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return v * _expit(logits) + (-v) * targets
 
 
+def _head_grads(h64: np.ndarray, w: np.ndarray, b: np.ndarray,
+                targets: np.ndarray) -> tuple:
+    """(g_w, g_b, g64) for the affine head x = h w + b on float32 w, b.
+
+    ``h64`` is the float64 copy of the float32 features h, and g64 the
+    float64 copy of g = dL/dx. g_w = h^T g and g_b = sum(g) over rows,
+    accumulated in float64 and rounded to float32: the values the
+    ``matmul`` and ``add`` VJPs, with ``_unbroadcast``, leave in a taped
+    head's .grad.
+    """
+    w64 = w.astype(np.float64)
+    logits = (h64 @ w64).astype(np.float32) + b
+    g64 = _bce_grad(logits, targets).astype(np.float64)
+    g_w = (h64.T @ g64).astype(np.float32)
+    g_b = np.add.reduce(g64, axis=0).astype(np.float32)
+    return g_w, g_b, g64
+
+
 def _untracked(params: dict[str, Tensor]) -> dict[str, Tensor]:
     # the same arrays without requires_grad, so a forward pass records
     # no tape
@@ -134,9 +154,10 @@ def linear_probe(params: dict[str, Tensor], train_ds: LabeledDataset,
                  cfg: ProbeConfig = ProbeConfig()) -> ProbeResult:
     """Frozen-encoder linear evaluation.
 
-    Embeddings are computed once, without a tape; only the affine head
-    trains. The encoder parameter bytes are fingerprinted before and
-    after as a hard guarantee that probing cannot leak into the model.
+    Embeddings are computed once, without a tape, and cast to float64
+    once; only the affine head trains, on closed-form gradients. The
+    encoder parameter bytes are fingerprinted before and after as a hard
+    guarantee that probing cannot leak into the model.
     """
     _check_split(train_ds, test_ds)
     before = params_fingerprint(params)
@@ -152,13 +173,13 @@ def linear_probe(params: dict[str, Tensor], train_ds: LabeledDataset,
         "probe.b": Tensor(np.zeros(a, dtype=np.float32), requires_grad=True),
     }
     state = init_optim_state(head, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    feats = Tensor(feats_train)
+    h64 = feats_train.astype(np.float64)
     targets = train_ds.labels.astype(np.float32)
     for _ in range(cfg.steps):
-        logits = add(matmul(feats, head["probe.w"]), head["probe.b"])
-        logits.backward(_bce_grad(logits.data, targets))
-        grads = {k: p.grad for k, p in head.items()}
-        head, state = adamw_step(head, grads, state)
+        g_w, g_b, _ = _head_grads(h64, head["probe.w"].data,
+                                  head["probe.b"].data, targets)
+        head, state = adamw_step(head, {"probe.w": g_w, "probe.b": g_b},
+                                 state)
 
     if params_fingerprint(params) != before:
         raise RuntimeError("probe training mutated the frozen encoder")
@@ -233,10 +254,12 @@ def low_shot_finetune(params: dict[str, Tensor], fraction: float,
                              weight_decay=cfg.weight_decay)
     for _ in range(cfg.steps):
         h = encode(trainable, sub_inputs)
-        logits = add(matmul(h, trainable["probe.w"]), trainable["probe.b"])
-        logits.backward(_bce_grad(logits.data, sub_targets))
-        grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                 for k, p in trainable.items()}
+        w = trainable["probe.w"].data
+        g_w, g_b, g64 = _head_grads(h.data.astype(np.float64), w,
+                                    trainable["probe.b"].data, sub_targets)
+        h.backward((g64 @ w.astype(np.float64).T).astype(np.float32))
+        grads = {k: p.grad for k, p in trainable.items() if p.grad is not None}
+        grads.update({"probe.w": g_w, "probe.b": g_b})
         trainable, state = adamw_step(trainable, grads, state)
 
     h_test = encode(_untracked(trainable), test_ds.inputs).data

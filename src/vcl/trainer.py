@@ -9,7 +9,10 @@ sampling noise xi) is keyed by the run seed plus structural indices
 reproducible and resumable: restarting from a checkpoint at step t
 replays exactly the steps an uninterrupted run would have taken.
 
-A non-finite loss aborts immediately with NanLossError carrying a
+Given an output directory, each step's record is appended to
+``metrics.jsonl`` and each epoch's to ``epochs.jsonl`` as it is made,
+one flushed line at a time, so a crash keeps every finished step. A
+non-finite loss aborts immediately with NanLossError carrying a
 diagnostic snapshot; nothing is written past the last good checkpoint.
 """
 
@@ -27,7 +30,7 @@ import numpy as np
 from vcl import kernels
 from vcl.autograd import Tensor
 from vcl.config import RunConfig, run_config_to_dict
-from vcl.datasets import (FormatError, LabeledDataset, batches,
+from vcl.datasets import (FormatError, LabeledDataset, atomic_write, batches,
                           generate_synthetic, inject_outliers, read_container,
                           write_container)
 from vcl.losses import LossBreakdown, nt_xent_cosine, total_loss
@@ -196,9 +199,45 @@ def _loss_for_batch(run: RunConfig, params: dict[str, Tensor], batch,
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _read_log(path: Path, key: str, below: int) -> list[dict]:
+    """The records of the JSON-lines log at ``path`` whose ``key`` is
+    below ``below``: none for a fresh run (``below`` 0) or an absent
+    file. A last line that a crash left without its newline is dropped;
+    any other line that is not such a record raises ResumeError."""
+    if below == 0 or not path.is_file():
+        return []
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        return [r for r in map(json.loads, lines) if r[key] < below]
+    except (ValueError, TypeError, KeyError) as err:
+        raise ResumeError(f"{path} is not a log of {key} records "
+                          f"({type(err).__name__}: {err})") from None
+
+
+def _write_log(path: Path, records: list[dict]) -> None:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+def _log(records: list, path: Path | None, rec: dict) -> None:
+    """Keep ``rec`` and, given a path, append it there as one line."""
+    records.append(rec)
+    if path is not None:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def _epoch_record(epoch: int, steps: list[dict]) -> dict:
+    n = len(steps)
+    return {"epoch": epoch, "steps": n,
+            **{f"mean_{k}": sum(r[k] for r in steps) / n
+               for k in ("total", "l_beta", "l_dist", "l_norm")},
+            "wall_ms": sum(r["wall_ms"] for r in steps)}
 
 
 def pretrain(run: RunConfig, out_dir=None, resume=None,
@@ -207,11 +246,17 @@ def pretrain(run: RunConfig, out_dir=None, resume=None,
 
     When ``out_dir`` is given, the run's ``resolved-config.json``,
     periodic checkpoints (every ``checkpoint_every`` epochs) and a final
-    ``checkpoint.vclc`` are written there. ``resume`` restores params
-    and optimizer state from a checkpoint and continues at its recorded
-    step on the same seed streams, which reproduces the uninterrupted
-    run exactly. A checkpoint already at ``run.steps``, or one whose
-    tensor names and shapes differ from the run's model, raises
+    ``checkpoint.vclc`` are written there, and the step and epoch
+    records are appended to ``metrics.jsonl`` and ``epochs.jsonl`` as
+    they are made. ``resume`` restores params and optimizer state from a
+    checkpoint and continues at its recorded step on the same seed
+    streams, which reproduces the uninterrupted run exactly. A fresh run
+    truncates both logs; a resume first cuts them to the steps below the
+    checkpoint's and the epochs before the one it resumes in, whose
+    record then also counts the kept steps, so the logs read as the
+    uninterrupted run's (``wall_ms`` aside). A checkpoint already at
+    ``run.steps``, one whose tensor names and shapes differ from the
+    run's model, or a log in ``out_dir`` that is not one raises
     ResumeError before any file is written.
     """
     ds = dataset if dataset is not None else build_dataset(run)
@@ -241,18 +286,27 @@ def pretrain(run: RunConfig, out_dir=None, resume=None,
                      min_lr=run.schedule.min_lr,
                      total_steps=run.steps)
     out_path = Path(out_dir) if out_dir is not None else None
+    step_log = epoch_log = None
+    epoch = step // spe
+    # the records of the resumed epoch's steps before the checkpoint
+    carried: list[dict] = []
     if out_path is not None:
+        step_log = out_path / "metrics.jsonl"
+        epoch_log = out_path / "epochs.jsonl"
+        kept = _read_log(step_log, "step", step)
+        kept_epochs = _read_log(epoch_log, "epoch", epoch)
         # only once a resume is accepted: a refused one changes no file
         out_path.mkdir(parents=True, exist_ok=True)
         write_json(out_path / "resolved-config.json", run_config_to_dict(run))
+        _write_log(step_log, kept)
+        _write_log(epoch_log, kept_epochs)
+        carried = [r for r in kept if r["step"] >= epoch * spe]
 
     step_records: list[dict] = []
     epoch_records: list[dict] = []
-    epoch = step // spe
     while step < run.steps:
         ep_seed = _epoch_seed(run.seed, epoch)
-        ep_totals: list[LossBreakdown] = []
-        ep_wall = 0.0
+        ep_steps, carried = carried, []
         # a resumed epoch starts at its next untrained batch, and the
         # budget is checked before a batch is built
         it = batches(ds, run.batch_n, run.augment, ep_seed,
@@ -276,22 +330,14 @@ def pretrain(run: RunConfig, out_dir=None, resume=None,
                      for k, p in params.items()}
             params, state = adamw_step(params, grads, state, lr=lr_t)
             wall_ms = (time.perf_counter() - t0) * 1000.0
-            step_records.append({
-                "step": step, "lr": lr_t, "l_beta": detail.l_beta,
-                "l_dist": detail.l_dist, "l_norm": detail.l_norm,
-                "total": detail.total, "wall_ms": wall_ms})
-            ep_totals.append(detail)
-            ep_wall += wall_ms
+            rec = {"step": step, "lr": lr_t, "l_beta": detail.l_beta,
+                   "l_dist": detail.l_dist, "l_norm": detail.l_norm,
+                   "total": detail.total, "wall_ms": wall_ms}
+            _log(step_records, step_log, rec)
+            ep_steps.append(rec)
             step += 1
-        if ep_totals:
-            n = len(ep_totals)
-            epoch_records.append({
-                "epoch": epoch, "steps": n,
-                "mean_total": sum(d.total for d in ep_totals) / n,
-                "mean_l_beta": sum(d.l_beta for d in ep_totals) / n,
-                "mean_l_dist": sum(d.l_dist for d in ep_totals) / n,
-                "mean_l_norm": sum(d.l_norm for d in ep_totals) / n,
-                "wall_ms": ep_wall})
+        if ep_steps:
+            _log(epoch_records, epoch_log, _epoch_record(epoch, ep_steps))
         if (out_path is not None and step == (epoch + 1) * spe
                 and run.checkpoint_every > 0
                 and (epoch + 1) % run.checkpoint_every == 0

@@ -180,6 +180,28 @@ def test_sigmoid_softplus_large_inputs():
     assert np.allclose(s, [1.0, 0.0], atol=1e-15)
 
 
+def _expit_where(x):
+    # the two-branch form _expit replaced, kept as its bit oracle
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_expit_is_bit_equal_to_the_where_form(dtype):
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = np.array([0.0, -0.0, 1e4, -1e4, 1.0, -1.0, 88.0, -104.0,
+                        np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny,
+                        3 * tiny, -3 * tiny], dtype=dtype)
+    rng = np.random.default_rng(4)
+    x = (rng.standard_normal((1638, 8)) * 12).astype(dtype)
+    x.flat[:special.size] = special
+    for probe in (x, special, x[:5, 1:4].T):
+        got, want = _expit(probe), _expit_where(probe)
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # errors
 

@@ -190,6 +190,11 @@ def test_pretrain_nan_abort(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     dump = json.loads((run_dir / "nan_dump.json").read_text())
     assert {"step", "l_beta", "l_dist", "l_norm", "total"} <= set(dump)
+    # every step before the abort is in the streamed metrics
+    logged = [json.loads(line) for line in
+              (run_dir / "metrics.jsonl").read_text().splitlines()]
+    assert dump["step"] >= 1
+    assert [r["step"] for r in logged] == list(range(dump["step"]))
 
 
 def test_pretrain_resume_past_budget_is_artifact_error(tmp_path, capsys):
@@ -213,6 +218,23 @@ def test_refused_resume_changes_no_file(tmp_path):
     other = write_cfg(tmp_path, extra={"seed": 9}, name="seed9.json")
     assert main(["pretrain", "--config", str(other), "--out", str(run_dir),
                  "--resume", str(run_dir / "checkpoint.vclc")]) == 4
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("log", ["garbage\n", '{"epoch": 0}\n', "[1]\n"])
+def test_resume_over_a_foreign_log_is_artifact_error(tmp_path, capsys, log):
+    run_dir = tmp_path / "run"
+    assert main(["pretrain", "--config", str(write_cfg(tmp_path)),
+                 "--out", str(run_dir)]) == 0
+    (run_dir / "metrics.jsonl").write_text(log, encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    capsys.readouterr()
+    longer = write_cfg(tmp_path, extra={"steps": 6}, name="longer.json")
+    assert main(["pretrain", "--config", str(longer), "--out", str(run_dir),
+                 "--resume", str(run_dir / "checkpoint.vclc")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "metrics.jsonl" in err
+    assert err.count("\n") == 1
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from vcl import evaluation
-from vcl.autograd import Tensor, _expit, mul, record, sub, tmean
+from vcl.autograd import (Tensor, _expit, add, matmul, mul, record, sub,
+                          tmean)
 from vcl.datasets import GenConfig, LabeledDataset, generate_synthetic
 from vcl.evaluation import (FinetuneConfig, ProbeConfig, _bce_grad,
-                            linear_probe, low_shot_finetune,
+                            _head_grads, linear_probe, low_shot_finetune,
                             mean_attribute_accuracy, stratified_subsample,
                             train_test_split)
 from vcl.model import EncoderConfig, init_params, params_fingerprint
@@ -210,6 +211,48 @@ def _run_protocols(monkeypatch):
 def test_protocols_equal_runs_on_the_taped_chain(monkeypatch):
     closed_form = _run_protocols(monkeypatch)
     monkeypatch.setattr(evaluation, "_bce_grad", _taped_bce_grad)
+    assert _run_protocols(monkeypatch) == closed_form
+
+
+# ---------------------------------------------------------------------------
+# the closed-form head against the taped one it replaced
+
+def _taped_head(h, w, b, targets):
+    """The head recorded as add(matmul(h, w), b) and seeded with the BCE
+    cotangent g at its logits: (g, h.grad, w.grad, b.grad)."""
+    h, w, b = (Tensor(a, requires_grad=True) for a in (h, w, b))
+    logits = add(matmul(h, w), b)
+    g = _bce_grad(logits.data, targets)
+    logits.backward(g)
+    return g, h.grad, w.grad, b.grad
+
+
+def _taped_head_grads(h64, w, b, targets):
+    # _head_grads' contract, computed on the tape
+    g, _, g_w, g_b = _taped_head(h64.astype(np.float32), w, b, targets)
+    return g_w, g_b, g.astype(np.float64)
+
+
+@pytest.mark.parametrize("rows,d,a", [(1638, 64, 8), (163, 64, 8),
+                                      (7, 5, 3), (1, 1, 1)])
+def test_head_grads_are_bit_equal_to_the_taped_head(rows, d, a):
+    rng = np.random.default_rng(rows)
+    h = (rng.standard_normal((rows, d)) * 3).astype(np.float32)
+    w = (rng.standard_normal((d, a)) * 0.5).astype(np.float32)
+    b = rng.standard_normal(a).astype(np.float32)
+    y = rng.integers(0, 2, size=(rows, a)).astype(np.float32)
+    g_w, g_b, g64 = _head_grads(h.astype(np.float64), w, b, y)
+    # the encoder cotangent low-shot seeds its tape with
+    g_h = (g64 @ w.astype(np.float64).T).astype(np.float32)
+    got = (g64.astype(np.float32), g_h, g_w, g_b)
+    for mine, taped in zip(got, _taped_head(h, w, b, y)):
+        assert mine.dtype == taped.dtype == np.float32
+        assert mine.tobytes() == taped.tobytes()
+
+
+def test_protocols_equal_runs_on_the_taped_head(monkeypatch):
+    closed_form = _run_protocols(monkeypatch)
+    monkeypatch.setattr(evaluation, "_head_grads", _taped_head_grads)
     assert _run_protocols(monkeypatch) == closed_form
 
 

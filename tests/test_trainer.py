@@ -1,6 +1,7 @@
 """Optimizer, schedule, training loop, and checkpoint container."""
 
 import hashlib
+import json
 import time
 
 import numpy as np
@@ -195,6 +196,63 @@ def test_nan_abort_carries_diagnostics(tiny_cfg):
     assert not np.isfinite(diag["total"])
 
 
+def _log_sans_wall(path):
+    """The whole lines of a JSON-lines log, as records without wall_ms."""
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    return [{k: v for k, v in json.loads(line).items() if k != "wall_ms"}
+            for line in lines]
+
+
+def test_resumed_logs_equal_uninterrupted_ones(tiny_cfg, tmp_path,
+                                               monkeypatch):
+    run = tiny_cfg(steps=6, checkpoint_every=1)
+    straight = tmp_path / "straight"
+    pretrain(run, out_dir=straight)
+
+    # the run dies in step 4, past its epoch-0 checkpoint at step 3,
+    # in the middle of writing a line
+    run_dir = tmp_path / "run"
+    real = trainer._loss_for_batch
+
+    def dying(run, params, batch, step):
+        if step == 4:
+            with open(run_dir / "metrics.jsonl", "a") as fh:
+                fh.write('{"step": 4, "tot')
+            raise RuntimeError("killed")
+        return real(run, params, batch, step)
+    monkeypatch.setattr(trainer, "_loss_for_batch", dying)
+    with pytest.raises(RuntimeError, match="killed"):
+        pretrain(run, out_dir=run_dir)
+    assert len(_log_sans_wall(run_dir / "metrics.jsonl")) == 4
+    monkeypatch.undo()
+
+    pretrain(run, out_dir=run_dir, resume=run_dir / "ckpt_epoch0000.vclc")
+    for name in ("metrics.jsonl", "epochs.jsonl"):
+        assert (_log_sans_wall(run_dir / name)
+                == _log_sans_wall(straight / name)), name
+    assert len(_log_sans_wall(run_dir / "metrics.jsonl")) == 6
+
+
+def test_mid_epoch_resume_counts_the_kept_steps(tiny_cfg, tmp_path):
+    # 3 steps per epoch: a 4-step run ends one step into epoch 1
+    pretrain(tiny_cfg(steps=4), out_dir=tmp_path)
+    pretrain(tiny_cfg(steps=6), out_dir=tmp_path,
+             resume=tmp_path / "checkpoint.vclc")
+    steps = _log_sans_wall(tmp_path / "metrics.jsonl")
+    assert [r["step"] for r in steps] == list(range(6))
+    epochs = _log_sans_wall(tmp_path / "epochs.jsonl")
+    assert [(e["epoch"], e["steps"]) for e in epochs] == [(0, 3), (1, 3)]
+    assert epochs[1]["mean_total"] == sum(r["total"] for r in steps[3:]) / 3
+
+
+def test_fresh_run_truncates_logs(tiny_cfg, tmp_path):
+    pretrain(tiny_cfg(steps=6), out_dir=tmp_path)
+    pretrain(tiny_cfg(steps=2), out_dir=tmp_path)
+    assert [r["step"] for r in _log_sans_wall(tmp_path / "metrics.jsonl")] \
+        == [0, 1]
+    assert len(_log_sans_wall(tmp_path / "epochs.jsonl")) == 1
+
+
 def test_pretrain_rejects_undersized_dataset(tiny_cfg):
     from vcl.datasets import GenConfig, generate_synthetic
     run = tiny_cfg()  # batch_n 16
@@ -239,6 +297,38 @@ def test_checkpoint_rejects_corruption(tiny_cfg, tmp_path):
     p.write_bytes(raw + b"\x01")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(p)
+
+
+def test_failed_checkpoint_save_keeps_the_old_file(tiny_cfg, tmp_path,
+                                                  monkeypatch):
+    result = pretrain(tiny_cfg())
+    path = tmp_path / "c.vclc"
+    save_checkpoint(path, result.params, result.state, result.step)
+    old = path.read_bytes()
+    real = trainer._write_block
+    calls = []
+
+    def failing(fh, arrays):
+        # the params block is written, then the m block raises
+        calls.append(len(arrays))
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real(fh, arrays)
+    monkeypatch.setattr(trainer, "_write_block", failing)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, result.params, result.state, result.step + 1)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["c.vclc"]
+
+
+def test_failed_json_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "r.json"
+    trainer.write_json(path, {"a": 1})
+    old = path.read_bytes()
+    with pytest.raises(TypeError):
+        trainer.write_json(path, {"a": 2, "b": object()})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
 
 def test_container_bytes_are_pinned(tmp_path):
