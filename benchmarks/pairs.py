@@ -17,8 +17,11 @@ of pairs the change won (ties count for neither side), the change's
 median relative to the parent's, whether a gain is shown (the change
 wins at least nine tenths of the pairs and the medians differ by more
 than the parent's interquartile range) and whether the change's median
-stays inside the metric's bound. The file is rewritten after every
-pair, so an interrupted campaign keeps the pairs it finished.
+stays inside the metric's bound. Per workload it also holds each
+side's operations attempted and failed, summed over its runs, from
+which the share of failed operations follows. The file is rewritten
+after every pair, so an interrupted campaign keeps the pairs it
+finished.
 """
 
 from __future__ import annotations
@@ -80,6 +83,12 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def operations(pairs: list[dict]) -> dict:
+    """Each side's operations attempted and failed, summed over pairs."""
+    return {s: {k: sum(p[s][k] for p in pairs)
+                for k in ("attempted", "failed")} for s in SIDES}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True,
@@ -118,6 +127,7 @@ def main(argv=None) -> int:
                       + json.dumps(pair[side]["metrics"]), flush=True)
             pairs.append(pair)
             entry["summary"] = summarise(pairs, end_to_end)
+            entry["operations"] = operations(pairs)
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -28,7 +28,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from vcl.config import ConfigError, RunConfig, load_run_config
-from vcl.datasets import FormatError, dataset_summary
+from vcl.datasets import FormatError, atomic_write, dataset_summary
 from vcl.datasets import load as load_dataset
 from vcl.datasets import save as save_dataset
 from vcl.evaluation import (FinetuneConfig, ProbeConfig, linear_probe,
@@ -214,14 +214,15 @@ def cmd_ablate(args) -> int:
                                  ProbeConfig(seed=cell_run.seed))
             acc = f"{probe.mean_accuracy:.6f}"
         except Exception as err:  # noqa: BLE001  cell failures must not stop the grid
-            (cell_dir / "error.txt").write_text(f"{type(err).__name__}: {err}\n",
-                                                encoding="utf-8")
+            with atomic_write(cell_dir / "error.txt", "w",
+                              encoding="utf-8") as fh:
+                fh.write(f"{type(err).__name__}: {err}\n")
             acc = "nan"
             failed += 1
         rows.append((variant, f"{tau:g}", f"{beta:g}", acc, cell_run.seed))
 
     csv_path = out / "ablation.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "tau", "beta", "mean_acc", "seed"])
         writer.writerows(rows)

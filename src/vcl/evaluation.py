@@ -114,10 +114,20 @@ def _head_grads(h64: np.ndarray, w: np.ndarray, b: np.ndarray,
     return g_w, g_b, g64
 
 
-def _untracked(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    # the same arrays without requires_grad, so a forward pass records
-    # no tape
-    return {k: Tensor(p.data) for k, p in params.items()}
+# rows per untaped encoder forward in _features
+ENCODE_ROWS = 256
+
+
+def _features(params: dict[str, Tensor], inputs: np.ndarray) -> np.ndarray:
+    """encode(params, inputs).data with no tape, ENCODE_ROWS rows at a
+    time, so the float64 matmul scratch stays bounded. A row of a float64
+    matmul does not depend on the other rows, so neither does a feature."""
+    frozen = {k: Tensor(p.data) for k, p in params.items()}
+    out = np.empty((len(inputs), params["enc_out.w"].data.shape[1]),
+                   dtype=np.float32)
+    for i in range(0, len(inputs), ENCODE_ROWS):
+        out[i:i + ENCODE_ROWS] = encode(frozen, inputs[i:i + ENCODE_ROWS]).data
+    return out
 
 
 def _check_split(train_ds: LabeledDataset, test_ds: LabeledDataset) -> None:
@@ -161,9 +171,8 @@ def linear_probe(params: dict[str, Tensor], train_ds: LabeledDataset,
     """
     _check_split(train_ds, test_ds)
     before = params_fingerprint(params)
-    frozen = _untracked(params)
-    feats_train = encode(frozen, train_ds.inputs).data
-    feats_test = encode(frozen, test_ds.inputs).data
+    feats_train = _features(params, train_ds.inputs)
+    feats_test = _features(params, test_ds.inputs)
 
     rng = np.random.default_rng(cfg.seed)
     a = train_ds.labels.shape[1]
@@ -262,7 +271,7 @@ def low_shot_finetune(params: dict[str, Tensor], fraction: float,
         grads.update({"probe.w": g_w, "probe.b": g_b})
         trainable, state = adamw_step(trainable, grads, state)
 
-    h_test = encode(_untracked(trainable), test_ds.inputs).data
+    h_test = _features(trainable, test_ds.inputs)
     test_logits = (h_test @ trainable["probe.w"].data
                    + trainable["probe.b"].data)
     per_attr, mean_acc = mean_attribute_accuracy(_expit(test_logits),

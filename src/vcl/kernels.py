@@ -21,6 +21,8 @@ from numpy.random.bit_generator import ISeedSequence
 SQDIST_BLOCK = 8
 # side of the square tiles in which pairwise_sqdist_vjp symmetrizes
 SYM_TILE = 128
+# entries updated per pass of adamw_update
+ADAMW_BLOCK = 8192
 
 
 def pairwise_sqdist(z: np.ndarray) -> np.ndarray:
@@ -151,12 +153,23 @@ def adamw_update(p, g, m, v, t, lr, beta1, beta2, eps, wd):
     p2 = p - lr * mhat / (sqrt(vhat) + eps) - lr * wd * p, evaluated in
     float64 in that association, with m2 = beta1 m + (1 - beta1) g and
     v2 = beta2 v + ((1 - beta2) g) g. The float64 work runs in place in
-    four buffers, so the inputs are not modified.
+    four buffers, so the inputs are not modified. An array of more than
+    ADAMW_BLOCK entries is updated in flat runs of that many, each rounded
+    into the outputs before the next, so the float64 scratch stays bounded.
     """
     if not (p.shape == g.shape == m.shape == v.shape):
         raise ValueError("adamw_update needs same-shape p, g, m, v")
     if t < 1:
         raise ValueError(f"step count must be >= 1, got {t}")
+    if p.size > ADAMW_BLOCK:
+        outs = [np.empty(p.shape, dtype=p.dtype) for _ in range(3)]
+        flat = [a.reshape(-1) for a in (p, g, m, v, *outs)]
+        for i in range(0, p.size, ADAMW_BLOCK):
+            blk = [a[i:i + ADAMW_BLOCK] for a in flat]
+            for out, got in zip(blk[4:], adamw_update(
+                    *blk[:4], t, lr, beta1, beta2, eps, wd)):
+                out[...] = got
+        return tuple(outs)
     g64 = g.astype(np.float64)
     tmp = np.multiply(g64, 1.0 - beta1)
     m2 = np.multiply(m, beta1, dtype=np.float64)

@@ -377,7 +377,7 @@ def _write_block(fh, arrays: dict[str, np.ndarray]) -> None:
         fh.write(nb)
         fh.write(struct.pack("<B", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def _read_block(read) -> dict[str, np.ndarray]:
@@ -398,8 +398,7 @@ def _read_block(read) -> dict[str, np.ndarray]:
             raise CheckpointError(f"implausible rank {rank} for {name!r}")
         shape = struct.unpack(f"<{rank}I", read(4 * rank, "shape"))
         n = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(read(4 * n, f"data of {name!r}"),
-                             dtype="<f4").reshape(shape).copy()
+        data = read(4 * n, f"data of {name!r}", np.empty(shape, dtype="<f4"))
         if name in out:
             raise CheckpointError(f"duplicate tensor name {name!r}")
         out[name] = data

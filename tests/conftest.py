@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from vcl.config import parse_run_config
@@ -22,3 +24,21 @@ def tiny_cfg():
         return parse_run_config(_merge(base, over))
 
     return make
+
+
+@pytest.fixture
+def traced_peak():
+    """Call fn() under tracemalloc; return its result and the peak of
+    memory it held at once above what was live at the call, in bytes."""
+
+    def run(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak - base
+
+    return run

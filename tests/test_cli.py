@@ -440,3 +440,38 @@ def test_ablate_grid(tmp_path, capsys):
     assert (cell / "resolved-config.json").is_file()
     assert (cell / "metrics.jsonl").is_file()
     assert "cells=10" in capsys.readouterr().out
+
+
+def test_failed_ablation_write_keeps_the_old_csv(tmp_path, monkeypatch):
+    from vcl import cli
+
+    def no_pretrain(run, out_dir):
+        raise RuntimeError("cell skipped")
+
+    real_writer = cli.csv.writer
+
+    class TornWriter:
+        # writes the header, then fails before the rows
+        def __init__(self, fh, **kwargs):
+            self.inner = real_writer(fh, **kwargs)
+
+        def writerow(self, row):
+            self.inner.writerow(row)
+
+        def writerows(self, rows):
+            raise OSError("disk full")
+
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "grid"
+    out.mkdir()
+    old = b"variant,tau,beta,mean_acc,seed\nfull,0.07,0.005,0.5,0\n"
+    (out / "ablation.csv").write_bytes(old)
+    monkeypatch.setattr(cli, "pretrain", no_pretrain)
+    monkeypatch.setattr(cli.csv, "writer", TornWriter)
+    with pytest.raises(OSError, match="disk full"):
+        main(["ablate", "--config", str(cfg), "--out", str(out)])
+    assert (out / "ablation.csv").read_bytes() == old
+    assert sorted(p.name for p in out.iterdir()) == ["ablation.csv", "cells"]
+    cell = out / "cells" / "full-tau0.07-beta0.005"
+    assert sorted(p.name for p in cell.iterdir()) == ["error.txt"]
+    assert (cell / "error.txt").read_text() == "RuntimeError: cell skipped\n"

@@ -1,5 +1,7 @@
 """Synthetic generator, outlier injection, batching, and the container."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,64 @@ def test_gen_config_validation():
         GenConfig(zoom_range=(0.0, 1.0))
     with pytest.raises(ValueError):
         GenConfig(label_margin=-1.0)
+
+
+def _generate_whole_array(cfg):
+    """The generator as it was before its blocked form: float64 images
+    rendered in blocks of up to 2^21 wave entries, then one noise draw
+    over all of them, then clip and round."""
+    rng = np.random.default_rng(cfg.seed)
+    k, a = cfg.k, cfg.attributes
+    h, w, c = cfg.height, cfg.width, 3
+    freq = rng.uniform(cfg.freq_range[0], cfg.freq_range[1], size=k)
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=k)
+    phase = rng.uniform(0.0, 2.0 * math.pi, size=(k, c))
+    amp = rng.uniform(0.6, 1.4, size=(k, c)) * rng.choice((-1.0, 1.0),
+                                                          size=(k, c))
+    yy, xx = np.meshgrid((np.arange(h) + 0.5) / h, (np.arange(w) + 0.5) / w,
+                         indexing="ij")
+    ramp0 = (np.cos(theta)[:, None, None] * xx[None]
+             + np.sin(theta)[:, None, None] * yy[None])
+    u = rng.standard_normal((cfg.m, k))
+    labels = (u[:, :a] > 0).astype(np.uint8)
+    u = u + cfg.label_margin * np.sign(u)
+    zoom = rng.uniform(cfg.zoom_range[0], cfg.zoom_range[1], size=cfg.m)
+    dyx = rng.uniform(-cfg.shift_max, cfg.shift_max, size=(cfg.m, 2))
+    imgs = np.empty((cfg.m, c, h, w), dtype=np.float64)
+    block = max(1, (1 << 21) // (k * c * h * w))
+    tpf = 2.0 * math.pi * freq
+    for lo in range(0, cfg.m, block):
+        hi = min(lo + block, cfg.m)
+        off = (np.cos(theta)[None, :] * dyx[lo:hi, 1:2]
+               + np.sin(theta)[None, :] * dyx[lo:hi, 0:1])
+        arg = (tpf[None, :, None, None] * zoom[lo:hi, None, None, None]
+               * (ramp0[None] - off[:, :, None, None]))
+        waves = np.sin(arg[:, :, None] + phase[None, :, :, None, None])
+        waves *= amp[None, :, :, None, None]
+        core = np.einsum("ik,ikchw->ichw", u[lo:hi], waves) / math.sqrt(k)
+        imgs[lo:hi] = 1.0 / (1.0 + np.exp(-cfg.gain * core))
+    if cfg.noise_std > 0:
+        imgs = imgs + rng.normal(0.0, cfg.noise_std, size=imgs.shape)
+    return np.clip(imgs, 0.0, 1.0).astype(np.float32), labels
+
+
+@pytest.mark.parametrize("cfg", [
+    GenConfig(), GenConfig(m=1, seed=2), GenConfig(m=23, seed=4),
+    GenConfig(m=40, attributes=3, latent_dim=7, seed=5),
+    GenConfig(m=30, height=9, width=11, seed=6),
+    GenConfig(m=25, noise_std=0.0, seed=7)])
+def test_blocked_generator_is_bit_equal_to_whole_array_form(cfg):
+    # 23 rows end in a partial block of the default shape's 10-row blocks
+    inputs, labels = _generate_whole_array(cfg)
+    ds = generate_synthetic(cfg)
+    assert ds.inputs.dtype == np.float32
+    assert ds.inputs.tobytes() == inputs.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+
+
+def test_generator_scratch_is_bounded(traced_peak):
+    ds, peak = traced_peak(lambda: generate_synthetic(GenConfig(m=2048)))
+    assert peak <= ds.inputs.nbytes + 2 * 2**20
 
 
 def test_inject_outliers_counts_and_modes():
@@ -234,3 +294,13 @@ def test_labeled_dataset_validation():
     with pytest.raises(ValueError):
         LabeledDataset(inputs=np.zeros((4, 3)), labels=np.zeros(4),
                        outlier_mask=np.zeros(4, dtype=bool))
+
+
+def test_save_and_load_copy_no_whole_array(tmp_path, traced_peak):
+    ds = generate_synthetic(GenConfig(m=2048, seed=0))
+    path = tmp_path / "d.vcld"
+    _, peak = traced_peak(lambda: save(ds, path))
+    assert peak <= 2**19
+    loaded, peak = traced_peak(lambda: load(path))
+    assert loaded == ds
+    assert peak <= loaded.inputs.nbytes + 2**19

@@ -13,7 +13,7 @@ from vcl.evaluation import (FinetuneConfig, ProbeConfig, _bce_grad,
                             _head_grads, linear_probe, low_shot_finetune,
                             mean_attribute_accuracy, stratified_subsample,
                             train_test_split)
-from vcl.model import EncoderConfig, init_params, params_fingerprint
+from vcl.model import EncoderConfig, encode, init_params, params_fingerprint
 
 
 def _identity_setup(m=400, a=4, margin=0.5):
@@ -212,6 +212,20 @@ def test_protocols_equal_runs_on_the_taped_chain(monkeypatch):
     closed_form = _run_protocols(monkeypatch)
     monkeypatch.setattr(evaluation, "_bce_grad", _taped_bce_grad)
     assert _run_protocols(monkeypatch) == closed_form
+
+
+def test_blocked_features_are_bit_equal_to_one_whole_batch_encode():
+    # the acceptance split: 1638 train and 410 test rows, each ending in a
+    # partial block of ENCODE_ROWS
+    ds = generate_synthetic(GenConfig(m=2048, seed=0))
+    params = init_params(EncoderConfig(input_shape=(3, 16, 16)), 32, seed=4)
+    untracked = {k: Tensor(p.data) for k, p in params.items()}
+    for part in train_test_split(ds, 0.2, seed=0):
+        assert len(part) in (1638, 410)
+        got = evaluation._features(params, part.inputs)
+        want = encode(untracked, part.inputs).data
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -161,12 +161,21 @@ MODEL_SHAPES = [(768, 256), (256,), (256, 256), (256,), (256, 64), (64,),
                 (64, 64), (64,), (64, 32), (32,), (64, 32), (32,)]
 
 
+B = kernels.ADAMW_BLOCK
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adamw_update_is_bit_equal_to_out_of_place_form(dtype):
     rng = np.random.default_rng(6)
-    for shape in MODEL_SHAPES:
+    # the model's shapes, then sizes around one block and one of 24 blocks
+    for shape in MODEL_SHAPES + [(1,), (B - 1,), (B,), (B + 1,), (196608,)]:
         p, g, m = (rng.standard_normal(shape).astype(dtype) for _ in range(3))
         v = np.abs(rng.standard_normal(shape)).astype(dtype) * 1e-3
+        # signed zeros in the gradient, and in the moments they meet
+        g.flat[::7] = -0.0
+        g.flat[3::7] = 0.0
+        m.flat[::14] = -0.0
+        v.flat[::21] = 0.0
         before = [a.copy() for a in (p, g, m, v)]
         for t in (1, 2, 500):
             got = kernels.adamw_update(p, g, m, v, t, 3e-3, 0.9, 0.999,
@@ -244,3 +253,13 @@ def test_keyed_rngs_reject_indices_outside_uint32():
             kernels.keyed_rngs((1, 2), bad)
     with pytest.raises(ValueError):
         kernels.keyed_rngs((-1, 2), [0])
+
+
+def test_adamw_update_scratch_is_bounded(traced_peak):
+    rng = np.random.default_rng(7)
+    p, g, m = (rng.standard_normal((768, 256)).astype(np.float32)
+               for _ in range(3))
+    v = np.abs(rng.standard_normal((768, 256))).astype(np.float32)
+    outs, peak = traced_peak(lambda: kernels.adamw_update(
+        p, g, m, v, 3, 1e-3, 0.9, 0.999, 1e-8, 0.01))
+    assert peak <= sum(o.nbytes for o in outs) + 2**20

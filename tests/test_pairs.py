@@ -1,5 +1,5 @@
-"""The verdicts of benchmarks/pairs.py: pair wins, the gain rule and the
-bound check, on hand-made pairs."""
+"""The verdicts of benchmarks/pairs.py: pair wins, the gain rule, the
+bound check and the operation totals, on hand-made pairs."""
 
 import importlib.util
 from pathlib import Path
@@ -77,3 +77,14 @@ def test_within_bound_at_the_edge(spec, edge, past):
     assert not _summary([2.0], [past], spec)["within_bound"]
     better = 1.0 if spec["better"] == "lower" else 4.0
     assert _summary([2.0], [better], spec)["within_bound"]
+
+
+def test_operations_sum_each_side_over_the_pairs():
+    runs = [({"attempted": 40, "failed": 0}, {"attempted": 42, "failed": 1}),
+            ({"attempted": 38, "failed": 2}, {"attempted": 41, "failed": 0})]
+    got = pairs.operations([{"parent": p, "change": c} for p, c in runs])
+    assert got == {"parent": {"attempted": 78, "failed": 2},
+                   "change": {"attempted": 83, "failed": 1}}
+    assert pairs.operations([]) == {
+        "parent": {"attempted": 0, "failed": 0},
+        "change": {"attempted": 0, "failed": 0}}
