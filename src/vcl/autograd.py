@@ -10,9 +10,13 @@ only the VJPs of operands that do, so constants and the input batch
 cost no backward work; it also sums the cotangent of a broadcast
 operand back to that operand's shape, so no op does either itself.
 ``Tensor.backward`` topologically sorts the DAG once and replays those
-steps into ``.grad`` buffers. Gradient accumulation is plain addition,
-so fan-out (one tensor feeding several ops) sums contributions and
-repeated backward passes on a freshly built graph are bit-identical.
+steps into ``.grad`` buffers. Only the root's and the leaves' ``.grad``
+survive the pass: an inner node's is dropped as soon as its step has
+passed it on to the node's parents, so the pass holds the gradients of
+the nodes still waiting for their step, not of the whole tape. The
+parent links stay. Gradient accumulation is plain addition, so fan-out
+(one tensor feeding several ops) sums contributions and repeated
+backward passes on a freshly built graph are bit-identical.
 The root of a backward pass is a scalar loss seeded with 1, or a tensor
 of any shape seeded with a given cotangent, so a caller that knows the
 gradient of a loss with respect to some output need not record the loss
@@ -139,6 +143,10 @@ class Tensor:
         the root's dtype; it must have the root's shape. Seeding y with
         g gives the same bits as backpropagating sum(y * g) when g has
         no negative zero.
+
+        Afterwards the root and the leaves keep their ``.grad``; every
+        inner node's is None, freed once its backward step has passed it
+        on. The ``_parents`` links stay, so the tape can still be walked.
         """
         if grad is None:
             if self.data.size != 1:
@@ -174,6 +182,9 @@ class Tensor:
                 # that cycle, so reference counting frees the tape as
                 # soon as its root goes, not the next cyclic collection
                 node._backward = _consumed
+                # passed on to its parents, an inner gradient is spent
+                if node is not self:
+                    node.grad = None
 
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""

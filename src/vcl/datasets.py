@@ -315,17 +315,28 @@ def write_container(path, magic: bytes, version: int):
 
 @contextmanager
 def read_container(path, magic: bytes, version: int, error):
-    """Open a binary container and yield ``read(n, what, into=None)``: the
-    next n bytes, read into the array ``into`` if given. Bad magic, another
-    version, truncation and, once the caller is done, trailing bytes raise
-    ``error`` with an offset."""
+    """Open a binary container and yield ``read(n, what, dtype=None)``:
+    the next n bytes, or, given a dtype, a new array of shape n and that
+    dtype filled from the file. Bad magic, another version, truncation
+    and, once the caller is done, trailing bytes raise ``error`` with an
+    offset. A read is checked against the bytes left in the file before
+    its array is made, so a corrupt header that claims more data than
+    the file holds fails as truncation, not as an allocation."""
     with open(path, "rb") as fh:
-        def read(n: int, what: str, into: np.ndarray | None = None):
-            buf = fh.read(n) if into is None else into
-            got = len(buf) if into is None else fh.readinto(into)
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n, what: str, dtype=None):
+            shape = n
+            if dtype is not None:
+                n = math.prod(shape) * np.dtype(dtype).itemsize
+            at = fh.tell()
+            got = max(0, min(n, size - at))
+            if got == n:  # allocate only what the file can fill
+                buf = fh.read(n) if dtype is None else np.empty(shape, dtype)
+                got = len(buf) if dtype is None else fh.readinto(buf)
             if got != n:
                 raise error(f"truncated file: wanted {n} bytes for {what} "
-                            f"at offset {fh.tell() - got}, got {got}")
+                            f"at offset {at}, got {got}")
             return buf
 
         got = read(4, "magic")
@@ -345,8 +356,7 @@ def load(path) -> LabeledDataset:
         if ndim < 1 or ndim > 4:
             raise DataFormatError(f"implausible input rank {ndim}")
         shape = struct.unpack(f"<{ndim}I", read(4 * ndim, "shape"))
-        count = m * int(np.prod(shape))
-        inputs = read(4 * count, "inputs", np.empty((m,) + shape, dtype="<f4"))
-        labels = read(m * a, "labels", np.empty((m, a), dtype="<u1"))
-        mask = read(m, "outlier mask", np.empty(m, dtype="<u1")).astype(bool)
+        inputs = read((m,) + shape, "inputs", "<f4")
+        labels = read((m, a), "labels", "<u1")
+        mask = read((m,), "outlier mask", "<u1").astype(bool)
     return LabeledDataset(inputs=inputs, labels=labels, outlier_mask=mask)

@@ -270,6 +270,7 @@ def low_shot_finetune(params: dict[str, Tensor], fraction: float,
         grads = {k: p.grad for k, p in trainable.items() if p.grad is not None}
         grads.update({"probe.w": g_w, "probe.b": g_b})
         trainable, state = adamw_step(trainable, grads, state)
+        del h, grads  # the spent tape goes before the next step's encode
 
     h_test = _features(trainable, test_ds.inputs)
     test_logits = (h_test @ trainable["probe.w"].data

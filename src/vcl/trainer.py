@@ -34,8 +34,8 @@ from vcl.datasets import (FormatError, LabeledDataset, atomic_write, batches,
                           generate_synthetic, inject_outliers, read_container,
                           write_container)
 from vcl.losses import LossBreakdown, nt_xent_cosine, total_loss
-from vcl.model import (EncoderConfig, GaussianParams, encode, gaussian_head,
-                       init_params, reparameterize)
+from vcl.model import (EncoderConfig, encode, gaussian_head, init_params,
+                       reparameterize)
 
 CKPT_MAGIC = b"VCLC"
 CKPT_VERSION = 1
@@ -183,7 +183,7 @@ class TrainResult:
 
 
 def _loss_for_batch(run: RunConfig, params: dict[str, Tensor], batch,
-                    step: int) -> tuple[Tensor, LossBreakdown, GaussianParams]:
+                    step: int) -> tuple[Tensor, LossBreakdown]:
     h = encode(params, batch.views)
     g = gaussian_head(params, h)
     if run.objective == "vcl_beta":
@@ -195,7 +195,7 @@ def _loss_for_batch(run: RunConfig, params: dict[str, Tensor], batch,
         loss = nt_xent_cosine(g.mu, batch.partner, run.loss.tau)
         val = float(loss.data)
         detail = LossBreakdown(l_beta=val, l_dist=0.0, l_norm=0.0, total=val)
-    return loss, detail, g
+    return loss, detail
 
 
 def write_json(path, obj) -> None:
@@ -315,7 +315,7 @@ def pretrain(run: RunConfig, out_dir=None, resume=None,
             t0 = time.perf_counter()
             batch = next(it)
             lr_t = cosine_lr(sched, step)
-            loss, detail, _ = _loss_for_batch(run, params, batch, step)
+            loss, detail = _loss_for_batch(run, params, batch, step)
             if not math.isfinite(detail.total):
                 raise NanLossError(
                     f"non-finite loss at step {step}",
@@ -329,6 +329,7 @@ def pretrain(run: RunConfig, out_dir=None, resume=None,
                          else np.zeros_like(p.data))
                      for k, p in params.items()}
             params, state = adamw_step(params, grads, state, lr=lr_t)
+            del batch, loss, grads  # the spent tape goes before the next batch
             wall_ms = (time.perf_counter() - t0) * 1000.0
             rec = {"step": step, "lr": lr_t, "l_beta": detail.l_beta,
                    "l_dist": detail.l_dist, "l_norm": detail.l_norm,
@@ -397,8 +398,7 @@ def _read_block(read) -> dict[str, np.ndarray]:
         if rank > 4:
             raise CheckpointError(f"implausible rank {rank} for {name!r}")
         shape = struct.unpack(f"<{rank}I", read(4 * rank, "shape"))
-        n = int(np.prod(shape)) if rank else 1
-        data = read(4 * n, f"data of {name!r}", np.empty(shape, dtype="<f4"))
+        data = read(shape, f"data of {name!r}", "<f4")
         if name in out:
             raise CheckpointError(f"duplicate tensor name {name!r}")
         out[name] = data

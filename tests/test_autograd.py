@@ -242,6 +242,34 @@ def test_backward_consumes_and_frees_the_tape():
         gc.enable()
 
 
+def test_backward_keeps_only_root_and_leaf_grads():
+    # quarters and small integers: every sum below is exact in any order
+    x = Tensor(np.arange(12.0).reshape(3, 4) / 4, requires_grad=True,
+               dtype=np.float64)
+    b = Tensor([0.5, -1.0, 0.25, 2.0], requires_grad=True, dtype=np.float64)
+    c = Tensor(np.full((3, 4), 2.0), dtype=np.float64)
+    u = add(x, b)  # b is broadcast over the rows
+    v = mul(u, u)  # u fans out: twice here, once more below
+    cv = mul(v, c)
+    w = add(cv, u)
+    root = tsum(w)
+    du = 4 * u.data + 1  # d/du sum(2 u^2 + u)
+    want = {"root": np.ones(()), "x": du, "b": du.sum(axis=0)}
+    root.backward()
+    assert [t.grad is None for t in (u, v, cv, w)] == [True] * 4
+    got = {"root": root.grad, "x": x.grad, "b": b.grad}
+    for name, arr in want.items():
+        assert got[name].tobytes() == arr.tobytes(), name
+    # perfbench's tape count walks the parent links after a backward
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    assert seen == {id(t) for t in (root, w, cv, v, u, x, b, c)}
+
+
 def _two_layer(rng):
     w1 = Tensor(rng.standard_normal((5, 7)), requires_grad=True)
     b1 = Tensor(rng.standard_normal(7), requires_grad=True)

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import struct
 
 import pytest
 
 from vcl.cli import main
+from vcl.datasets import MAGIC, VERSION
 from vcl.datasets import load as load_dataset
 from vcl.trainer import CheckpointError, load_checkpoint
 
@@ -375,6 +377,21 @@ def test_eval_corrupt_checkpoint(workspace, tmp_path, capsys):
                  "--protocol", "linear", "--out", str(tmp_path / "p")])
     assert code == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_dataset_whose_header_outgrows_the_file(workspace, tmp_path,
+                                                     capsys):
+    bad = tmp_path / "huge.vcld"  # 44 bytes claiming 2^31 rows
+    bad.write_bytes(MAGIC + struct.pack("<7I", VERSION, 2**31, 8, 3, 3, 16,
+                                        16) + bytes(12))
+    code = main(["eval",
+                 "--checkpoint", str(workspace["run"] / "checkpoint.vclc"),
+                 "--data", str(bad),
+                 "--protocol", "linear", "--out", str(tmp_path / "p")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: truncated file: wanted ")
+    assert err.count("\n") == 1
 
 
 def test_eval_checkpoint_with_non_utf8_name(workspace, tmp_path, capsys):

@@ -1,14 +1,15 @@
 """Synthetic generator, outlier injection, batching, and the container."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from vcl.augmentation import AugmentConfig, augment_views, draw_params
-from vcl.datasets import (MAGIC, DataFormatError, GenConfig, LabeledDataset,
-                          batches, dataset_summary, generate_synthetic,
-                          inject_outliers, load, save)
+from vcl.datasets import (MAGIC, VERSION, DataFormatError, GenConfig,
+                          LabeledDataset, batches, dataset_summary,
+                          generate_synthetic, inject_outliers, load, save)
 
 SMALL = GenConfig(m=64, seed=3)
 
@@ -267,6 +268,24 @@ def test_load_rejects_truncation(tmp_path):
         p.write_bytes(raw[:cut])
         with pytest.raises(DataFormatError, match="truncated"):
             load(p)
+
+
+def test_load_checks_a_header_against_the_file_length(tmp_path,
+                                                      traced_peak):
+    # a 44-byte file whose header claims 2^31 rows of 3x16x16: 6 TiB of
+    # inputs, of which the file holds 12 bytes
+    p = tmp_path / "huge.vcld"
+    p.write_bytes(MAGIC + struct.pack("<7I", VERSION, 2**31, 8, 3, 3, 16, 16)
+                  + bytes(12))
+    assert p.stat().st_size == 44
+
+    def attempt():
+        with pytest.raises(DataFormatError,
+                           match=f"truncated file: wanted {4 * 2**31 * 768} "
+                                 "bytes for inputs at offset 32, got 12"):
+            load(p)
+    _, peak = traced_peak(attempt)
+    assert peak <= 2**20
 
 
 def test_load_rejects_trailing_bytes(tmp_path):

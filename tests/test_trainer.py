@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import struct
 import time
 
 import numpy as np
@@ -167,6 +168,16 @@ def test_step_wall_ms_covers_the_step(tiny_cfg, monkeypatch):
     assert sum(r["wall_ms"] for r in result.step_records) >= 0.9 * total_ms
 
 
+def test_wide_step_lets_go_of_the_spent_tape(tiny_cfg, traced_peak):
+    # at N = 512 a step's tape holds about 40 MB; the next step must not
+    # build its batch and loss while the last one's is still live (that
+    # peaked near 69 MB, against about 40 MB when it is let go)
+    run = tiny_cfg(steps=2, batch_n=512, data={"m": 1024})
+    ds = build_dataset(run)
+    _, peak = traced_peak(lambda: pretrain(run, dataset=ds))
+    assert peak <= 50 * 2**20
+
+
 def test_epoch_records_summarize_steps(tiny_cfg):
     result = pretrain(tiny_cfg(steps=6))
     assert [e["epoch"] for e in result.epoch_records] == [0, 1]
@@ -297,6 +308,26 @@ def test_checkpoint_rejects_corruption(tiny_cfg, tmp_path):
     p.write_bytes(raw + b"\x01")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(p)
+
+
+def test_checkpoint_checks_a_shape_against_the_file_length(tmp_path,
+                                                          traced_peak):
+    params = {"w": Tensor(np.zeros(2, dtype=np.float32))}
+    p = tmp_path / "huge.vclc"
+    save_checkpoint(p, params, init_optim_state(params), step=1)
+    raw = bytearray(p.read_bytes())
+    # magic, version, step, count, name length, b"w", rank: the shape
+    # of "w" starts at offset 24 and now claims 2^31 entries, 8 GiB
+    raw[24:28] = struct.pack("<I", 2**31)
+    p.write_bytes(bytes(raw))
+
+    def attempt():
+        with pytest.raises(CheckpointError,
+                           match=f"truncated file: wanted {4 * 2**31} bytes "
+                                 "for data of 'w' at offset 28"):
+            load_checkpoint(p)
+    _, peak = traced_peak(attempt)
+    assert peak <= 2**20
 
 
 def test_failed_checkpoint_save_keeps_the_old_file(tiny_cfg, tmp_path,
