@@ -10,13 +10,15 @@ only the VJPs of operands that do, so constants and the input batch
 cost no backward work; it also sums the cotangent of a broadcast
 operand back to that operand's shape, so no op does either itself.
 ``Tensor.backward`` topologically sorts the DAG once and replays those
-steps into ``.grad`` buffers. Only the root's and the leaves' ``.grad``
-survive the pass: an inner node's is dropped as soon as its step has
-passed it on to the node's parents, so the pass holds the gradients of
-the nodes still waiting for their step, not of the whole tape. The
-parent links stay. Gradient accumulation is plain addition, so fan-out
-(one tensor feeding several ops) sums contributions and repeated
-backward passes on a freshly built graph are bit-identical.
+steps into ``.grad`` buffers. A node's first cotangent becomes its
+``.grad`` without a copy when the VJP made it fresh; later ones are
+added into it. Only the root's and the leaves' ``.grad`` survive the
+pass: an inner node's is dropped as soon as its step has passed it on
+to the node's parents, so the pass holds the gradients of the nodes
+still waiting for their step, not of the whole tape. The parent links
+stay. Gradient accumulation is plain addition, so fan-out (one tensor
+feeding several ops) sums contributions and repeated backward passes on
+a freshly built graph are bit-identical.
 The root of a backward pass is a scalar loss seeded with 1, or a tensor
 of any shape seeded with a given cotangent, so a caller that knows the
 gradient of a loss with respect to some output need not record the loss
@@ -117,6 +119,13 @@ def _expit(x: np.ndarray) -> np.ndarray:
     return np.divide(e, d, out=e)
 
 
+def _fresh(g, dtype) -> bool:
+    """Whether g is an array of ``dtype`` that owns its C-ordered buffer,
+    so it can become a ``.grad`` without a copy."""
+    return (isinstance(g, np.ndarray) and g.base is None
+            and g.dtype == dtype and g.flags.c_contiguous)
+
+
 def _consumed() -> None:
     raise ValueError("this tape was already backpropagated; build it again")
 
@@ -199,6 +208,11 @@ def record(data: np.ndarray, parents: tuple, *vjps) -> Tensor:
     step: for each parent that requires gradients, in order, it calls
     that parent's VJP, sums the result back to the parent's shape when
     the parent was broadcast, and adds it to the parent's ``.grad``.
+    A parent with no ``.grad`` yet takes a ``_fresh`` result that is not
+    the output's own ``.grad`` as it is, after ``+= 0``, which turns -0
+    into +0 as adding it into zeros did; any other result is added into
+    a zero-filled buffer. So a VJP returns a view or an array that
+    nothing else holds.
     """
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -211,9 +225,14 @@ def record(data: np.ndarray, parents: tuple, *vjps) -> Tensor:
             for p, vjp in zip(parents, vjps):
                 if p.requires_grad:
                     g = _unbroadcast(vjp(out.grad), p.data.shape)
-                    if p.grad is None:
+                    if p.grad is not None:
+                        p.grad += g
+                    elif g is not out.grad and _fresh(g, p.data.dtype):
+                        g += 0  # -0 becomes +0, as it did in 0 + g
+                        p.grad = g
+                    else:
                         p.grad = np.zeros_like(p.data)
-                    p.grad += g
+                        p.grad += g
         out._parents = parents
         out._backward = backward
     return out

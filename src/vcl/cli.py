@@ -203,23 +203,27 @@ def cmd_ablate(args) -> int:
                                          seed=base.seed)
 
     rows = []
-    failed = 0
+    # a run the grid names again (at the defaults, full is also tau_sweep
+    # 0.07 and beta_sweep 0.005) is trained once, in its first cell's
+    # directory, and its accuracy fills each of its rows
+    accs: dict[RunConfig, str] = {}
     for variant, tau, beta, cell_run in _grid(base):
-        name = f"{variant}-tau{tau:g}-beta{beta:g}"
-        cell_dir = out / "cells" / name
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            result = pretrain(cell_run, out_dir=cell_dir)
-            probe = linear_probe(result.params, train_ds, test_ds,
-                                 ProbeConfig(seed=cell_run.seed))
-            acc = f"{probe.mean_accuracy:.6f}"
-        except Exception as err:  # noqa: BLE001  cell failures must not stop the grid
-            with atomic_write(cell_dir / "error.txt", "w",
-                              encoding="utf-8") as fh:
-                fh.write(f"{type(err).__name__}: {err}\n")
-            acc = "nan"
-            failed += 1
-        rows.append((variant, f"{tau:g}", f"{beta:g}", acc, cell_run.seed))
+        if cell_run not in accs:
+            cell_dir = out / "cells" / f"{variant}-tau{tau:g}-beta{beta:g}"
+            cell_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                result = pretrain(cell_run, out_dir=cell_dir)
+                probe = linear_probe(result.params, train_ds, test_ds,
+                                     ProbeConfig(seed=cell_run.seed))
+                accs[cell_run] = f"{probe.mean_accuracy:.6f}"
+            except Exception as err:  # noqa: BLE001  cell failures must not stop the grid
+                with atomic_write(cell_dir / "error.txt", "w",
+                                  encoding="utf-8") as fh:
+                    fh.write(f"{type(err).__name__}: {err}\n")
+                accs[cell_run] = "nan"
+        rows.append((variant, f"{tau:g}", f"{beta:g}", accs[cell_run],
+                     cell_run.seed))
+    failed = sum(row[3] == "nan" for row in rows)
 
     csv_path = out / "ablation.csv"
     with atomic_write(csv_path, "w", newline="", encoding="utf-8") as fh:

@@ -37,6 +37,9 @@ from vcl.augmentation import (AugmentConfig, augment_views, check_images,
 MAGIC = b"VCLD"
 VERSION = 1
 
+# samples whose two views ``batches`` builds in one augment_views call
+VIEW_BLOCK = 64
+
 
 class FormatError(ValueError):
     """A file violates its binary container format."""
@@ -235,8 +238,11 @@ def batches(ds: LabeledDataset, n: int, aug: AugmentConfig,
     draws come from separate streams keyed by (epoch_seed, sample index),
     so batch composition and view noise are reproducible independently
     of iteration order. ``start`` skips the epoch's first batches
-    without building them; the batches after are unchanged. Each batch
-    is augmented in one vectorised pass.
+    without building them; the batches after are unchanged. A batch's
+    parameters are drawn at once, and its views are built VIEW_BLOCK
+    samples at a time into the batch's array: ``augment_views`` builds
+    each view on its own, so the views are those of one whole-batch call
+    while its scratch stays block-sized.
     """
     m = len(ds)
     if n < 2:
@@ -253,9 +259,13 @@ def batches(ds: LabeledDataset, n: int, aug: AugmentConfig,
     partner[2 * idx_pairs + 1] = 2 * idx_pairs
     for b in range(start, m // n):
         chosen = order[b * n:(b + 1) * n]
-        rngs = kernels.keyed_rngs((epoch_seed, 1), chosen)
-        views = augment_views(np.repeat(ds.inputs[chosen], 2, axis=0),
-                              draw_params(aug, rngs), aug)
+        params = draw_params(aug, kernels.keyed_rngs((epoch_seed, 1), chosen))
+        views = np.empty((2 * n, 3, *aug.crop_out), dtype=np.float32)
+        for s in range(0, n, VIEW_BLOCK):
+            rows = slice(2 * s, 2 * (s + VIEW_BLOCK))
+            views[rows] = augment_views(
+                np.repeat(ds.inputs[chosen[s:s + VIEW_BLOCK]], 2, axis=0),
+                params[rows], aug)
         yield ViewBatch(views=views, partner=partner.copy(),
                         source_indices=chosen.astype(np.int64))
 

@@ -396,3 +396,102 @@ def test_backward_skips_vjps_of_untracked_operands(monkeypatch):
     # six matmuls: two VJPs each, less the input batch's (16, 768) one
     assert (n_skip, n_both) == (11, 12)
     assert skipped == both
+
+
+# ---------------------------------------------------------------------------
+# a node's first cotangent kept as its gradient
+
+def _signed_zeros_and_nans(dtype):
+    x = Tensor([[1.5, -2.0, 0.25], [3.0, 1.0, 0.0]], requires_grad=True,
+               dtype=dtype)
+    seed = np.array([[0.0, np.nan, -0.0], [1.0, -np.nan, 2.0]], dtype=dtype)
+    return scale(x, -1.0), seed, [x]
+
+
+def _fortran_cotangent(dtype):
+    # the VJP's fresh result follows the seed's Fortran order
+    root, seed, leaves = _signed_zeros_and_nans(dtype)
+    return root, np.asfortranarray(seed), leaves
+
+
+def _fan_out(dtype):
+    a = Tensor([[0.5, -1.0], [2.0, -0.0]], requires_grad=True, dtype=dtype)
+    s = Tensor(-0.5, requires_grad=True, dtype=dtype)  # its VJP gives a scalar
+    return mul(tsum(add(add(a, a), mul(a, a))), s), None, [a, s]
+
+
+def _add_passes_out_grad(dtype):
+    a = Tensor([1.0, 2.0, 3.0], requires_grad=True, dtype=dtype)
+    b = Tensor([4.0, 5.0, 6.0], requires_grad=True, dtype=dtype)
+    return add(a, b), np.array([-0.0, np.nan, 2.0], dtype=dtype), [a, b]
+
+
+def _view_vjps(dtype):
+    x = Tensor(np.arange(6.0).reshape(2, 3) - 2.5, requires_grad=True,
+               dtype=dtype)
+    y = transpose(reshape(x, (3, 2)))
+    c = Tensor([[1.0, -0.0, 2.0], [0.5, -3.0, 0.0]], dtype=dtype)
+    return mul(y, c), np.array([[-0.0, 1.0, -2.0], [np.nan, 0.0, -1.0]],
+                               dtype=dtype), [x]
+
+
+def _view_of_root(dtype):
+    x = Tensor([[1.0, -2.0, 0.5], [3.0, 0.0, -1.0]], requires_grad=True,
+               dtype=dtype)
+    seed = np.array([[-0.0, np.nan], [1.0, -2.0], [0.0, -0.0]], dtype=dtype)
+    return reshape(x, (3, 2)), seed, [x]
+
+
+def _mixed_dtypes(dtype):
+    # b's cotangent comes back in the other float width
+    other = np.float64 if dtype == np.float32 else np.float32
+    a = Tensor([1.0, -2.0, 0.5], requires_grad=True, dtype=other)
+    b = Tensor([0.25, 0.0, -1.5], requires_grad=True, dtype=dtype)
+    return sub(a, b), np.array([-0.0, 2.0, np.nan], dtype=other), [a, b]
+
+
+def _model_loss(dtype):
+    enc = model.EncoderConfig(input_shape=(3, 4, 4), hidden_dims=(8,),
+                              embed_dim=6)
+    rng = np.random.default_rng(5)
+    params = {k: Tensor(p.data, requires_grad=True, dtype=dtype)
+              for k, p in model.init_params(enc, 4, seed=1).items()}
+    views = rng.uniform(0.0, 1.0, (8, 3, 4, 4)).astype(dtype)
+    g = model.gaussian_head(params, model.encode(params, views))
+    z = model.reparameterize(g, rng.standard_normal((8, 4)).astype(dtype))
+    loss, _ = losses.total_loss(z, g, np.arange(8) ^ 1, losses.LossConfig())
+    return loss, None, list(params.values())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("build", [_signed_zeros_and_nans, _fortran_cotangent,
+                                   _fan_out,
+                                   _add_passes_out_grad, _view_vjps,
+                                   _view_of_root, _mixed_dtypes,
+                                   _model_loss])
+def test_kept_cotangent_equals_zero_buffer_sum(build, dtype, monkeypatch):
+    # the reference adds every first cotangent into a zero-filled buffer,
+    # as backward did before it kept a fresh one as the gradient
+    runs = []
+    for zero_buffer in (False, True):
+        if zero_buffer:
+            monkeypatch.setattr(autograd, "_fresh", lambda g, dtype: False)
+        root, seed, leaves = build(dtype)
+        root.backward(seed)
+        grads = [root.grad] + [t.grad for t in leaves]
+        for i, a in enumerate(grads):
+            assert not any(np.shares_memory(a, b) for b in grads[i + 1:])
+        runs.append([(type(g), g.dtype, g.strides, g.tobytes())
+                     for g in grads])
+    assert runs[0] == runs[1]
+
+
+def test_grad_check_is_unchanged_by_kept_cotangents(monkeypatch):
+    x = Tensor(np.random.default_rng(2).standard_normal((3, 4)))
+
+    def f(t):  # t fans out, once through two view-returning VJPs
+        return tsum(mul(exp(scale(t, 0.5)), reshape(transpose(t), (3, 4))))
+
+    got = grad_check(f, x)
+    monkeypatch.setattr(autograd, "_fresh", lambda g, dtype: False)
+    assert grad_check(f, x) == got

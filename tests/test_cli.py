@@ -435,10 +435,25 @@ def test_gradcheck_include_broken(tmp_path):
 # ---------------------------------------------------------------------------
 # ablate
 
-def test_ablate_grid(tmp_path, capsys):
+def test_ablate_grid(tmp_path, capsys, monkeypatch):
+    from vcl import cli
+
+    trained = []
+    real_pretrain = cli.pretrain
+
+    def counting(run, out_dir):
+        trained.append(out_dir.name)
+        return real_pretrain(run, out_dir=out_dir)
+
+    monkeypatch.setattr(cli, "pretrain", counting)
     cfg = write_cfg(tmp_path, extra={"steps": 2})
     out = tmp_path / "grid"
     assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 0
+    # at the default tau and beta, full, tau_sweep 0.07 and beta_sweep
+    # 0.005 are one run: 8 distinct runs fill the 10 rows
+    assert len(trained) == 8
+    assert sorted(p.name for p in (out / "cells").iterdir()) == sorted(trained)
+    assert "tau_sweep-tau0.07-beta0.005" not in trained
 
     lines = (out / "ablation.csv").read_text().splitlines()
     assert lines[0] == "variant,tau,beta,mean_acc,seed"
@@ -452,6 +467,10 @@ def test_ablate_grid(tmp_path, capsys):
         acc = line.split(",")[3]
         assert acc != "nan"
         assert 0.0 <= float(acc) <= 1.0
+    shared = [line.split(",")[3] for line in lines[1:]
+              if line.split(",")[0] in ("full", "tau_sweep", "beta_sweep")
+              and line.split(",")[1:3] == ["0.07", "0.005"]]
+    assert len(shared) == 3 and len(set(shared)) == 1
 
     cell = out / "cells" / "full-tau0.07-beta0.005"
     assert (cell / "resolved-config.json").is_file()

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from vcl.augmentation import AugmentConfig, augment_views, draw_params
-from vcl.datasets import (MAGIC, VERSION, DataFormatError, GenConfig,
-                          LabeledDataset, batches, dataset_summary,
+from vcl.datasets import (MAGIC, VERSION, VIEW_BLOCK, DataFormatError,
+                          GenConfig, LabeledDataset, batches, dataset_summary,
                           generate_synthetic, inject_outliers, load, save)
 
 SMALL = GenConfig(m=64, seed=3)
@@ -199,17 +199,32 @@ def test_batches_start_skips_exactly():
         next(batches(ds, 16, aug, epoch_seed=9, start=-1))
 
 
-@pytest.mark.parametrize("n", [2, 128, 512])
+@pytest.mark.parametrize("n", [2, VIEW_BLOCK - 1, VIEW_BLOCK, VIEW_BLOCK + 1,
+                               128, 2 * VIEW_BLOCK + 3, 512])
 def test_batch_is_bit_equal_to_per_sample_streams(n):
+    # the views, built VIEW_BLOCK samples at a time, against one
+    # augment_views call over the whole batch; the epoch's last batch is
+    # built after a start > 0 (but at n = 512, which fills the epoch)
     ds = generate_synthetic(GenConfig(m=512, seed=4))
     aug = AugmentConfig()
     epoch_seed = 2 ** 64 - 5  # two entropy words, as epoch seeds have
-    batch = next(iter(batches(ds, n, aug, epoch_seed=epoch_seed)))
+    batch = next(batches(ds, n, aug, epoch_seed=epoch_seed,
+                         start=len(ds) // n - 1))
     rngs = [np.random.default_rng([epoch_seed, 1, int(i)])
             for i in batch.source_indices]
     want = augment_views(np.repeat(ds.inputs[batch.source_indices], 2, axis=0),
                          draw_params(aug, rngs), aug)
     assert batch.views.tobytes() == want.tobytes()
+
+
+def test_wide_batch_scratch_is_bounded(traced_peak):
+    # at N = 512 the views are 3 MiB; augmenting the whole batch in one
+    # call held about 26 MiB at once, a block at a time about 7 MiB
+    ds = generate_synthetic(GenConfig(m=512, seed=4))
+    batch, peak = traced_peak(
+        lambda: next(batches(ds, 512, AugmentConfig(), epoch_seed=0)))
+    assert batch.views.shape == (1024, 3, 16, 16)
+    assert peak <= 12 * 2**20
 
 
 def test_batches_check_inputs_once_per_call():
