@@ -108,8 +108,6 @@ def cmd_pretrain(args) -> int:
         print(f"error: {err} (diagnostics in {out / 'nan_dump.json'})",
               file=sys.stderr)
         return EXIT_NAN
-    except ResumeError as err:
-        raise ArtifactError(str(err)) from err
 
     _kv("steps", result.step)
     if result.step_records:
@@ -372,7 +370,7 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FormatError, ArtifactError) as err:
+    except (FormatError, ArtifactError, ResumeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ARTIFACT
 

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from vcl.autograd import Tensor, _expit
+from vcl.config import OptimSection
 from vcl.datasets import LabeledDataset
 from vcl.model import _glorot, encode, params_fingerprint
 from vcl.trainer import adamw_step, init_optim_state
@@ -41,10 +42,7 @@ class ProbeConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        OptimSection(lr=self.lr, weight_decay=self.weight_decay)
 
 
 @dataclass(frozen=True)
@@ -114,6 +112,19 @@ def _head_grads(h64: np.ndarray, w: np.ndarray, b: np.ndarray,
     return g_w, g_b, g64
 
 
+def _new_head(rng: np.random.Generator, d: int, a: int) -> dict:
+    """An affine head from d features to a logits: Glorot weights, zero bias."""
+    return {"probe.w": Tensor(_glorot(rng, d, a), requires_grad=True),
+            "probe.b": Tensor(np.zeros(a, dtype=np.float32),
+                              requires_grad=True)}
+
+
+def _score(feats: np.ndarray, head: dict, test_ds: LabeledDataset) -> tuple:
+    """(per-attribute, mean) accuracy of ``head`` on the test features."""
+    logits = feats @ head["probe.w"].data + head["probe.b"].data
+    return mean_attribute_accuracy(_expit(logits), test_ds.labels)
+
+
 # rows per untaped encoder forward in _features
 ENCODE_ROWS = 256
 
@@ -174,13 +185,8 @@ def linear_probe(params: dict[str, Tensor], train_ds: LabeledDataset,
     feats_train = _features(params, train_ds.inputs)
     feats_test = _features(params, test_ds.inputs)
 
-    rng = np.random.default_rng(cfg.seed)
-    a = train_ds.labels.shape[1]
-    d = feats_train.shape[1]
-    head = {
-        "probe.w": Tensor(_glorot(rng, d, a), requires_grad=True),
-        "probe.b": Tensor(np.zeros(a, dtype=np.float32), requires_grad=True),
-    }
+    head = _new_head(np.random.default_rng(cfg.seed), feats_train.shape[1],
+                     train_ds.labels.shape[1])
     state = init_optim_state(head, lr=cfg.lr, weight_decay=cfg.weight_decay)
     h64 = feats_train.astype(np.float64)
     targets = train_ds.labels.astype(np.float32)
@@ -192,9 +198,7 @@ def linear_probe(params: dict[str, Tensor], train_ds: LabeledDataset,
 
     if params_fingerprint(params) != before:
         raise RuntimeError("probe training mutated the frozen encoder")
-    test_logits = feats_test @ head["probe.w"].data + head["probe.b"].data
-    per_attr, mean_acc = mean_attribute_accuracy(_expit(test_logits),
-                                                 test_ds.labels)
+    per_attr, mean_acc = _score(feats_test, head, test_ds)
     return ProbeResult(protocol="linear", fraction=None, seed=cfg.seed,
                        per_attribute=per_attr, mean_accuracy=mean_acc,
                        train_size=len(train_ds), test_size=len(test_ds))
@@ -254,11 +258,8 @@ def low_shot_finetune(params: dict[str, Tensor], fraction: float,
 
     trainable = {k: Tensor(params[k].data.copy(), requires_grad=True)
                  for k in params if k.startswith("enc")}
-    a = train_ds.labels.shape[1]
-    d = params["enc_out.w"].data.shape[1]
-    trainable["probe.w"] = Tensor(_glorot(rng, d, a), requires_grad=True)
-    trainable["probe.b"] = Tensor(np.zeros(a, dtype=np.float32),
-                                  requires_grad=True)
+    trainable.update(_new_head(rng, params["enc_out.w"].data.shape[1],
+                               train_ds.labels.shape[1]))
     state = init_optim_state(trainable, lr=cfg.lr,
                              weight_decay=cfg.weight_decay)
     for _ in range(cfg.steps):
@@ -267,16 +268,13 @@ def low_shot_finetune(params: dict[str, Tensor], fraction: float,
         g_w, g_b, g64 = _head_grads(h.data.astype(np.float64), w,
                                     trainable["probe.b"].data, sub_targets)
         h.backward((g64 @ w.astype(np.float64).T).astype(np.float32))
-        grads = {k: p.grad for k, p in trainable.items() if p.grad is not None}
-        grads.update({"probe.w": g_w, "probe.b": g_b})
-        trainable, state = adamw_step(trainable, grads, state)
-        del h, grads  # the spent tape goes before the next step's encode
+        del h  # the spent tape goes before AdamW runs
+        trainable, state = adamw_step(trainable, {
+            **{k: p.grad for k, p in trainable.items() if p.grad is not None},
+            "probe.w": g_w, "probe.b": g_b}, state)
 
-    h_test = _features(trainable, test_ds.inputs)
-    test_logits = (h_test @ trainable["probe.w"].data
-                   + trainable["probe.b"].data)
-    per_attr, mean_acc = mean_attribute_accuracy(_expit(test_logits),
-                                                 test_ds.labels)
+    per_attr, mean_acc = _score(_features(trainable, test_ds.inputs),
+                                trainable, test_ds)
     return ProbeResult(protocol="low_shot", fraction=float(fraction),
                        seed=cfg.seed, per_attribute=per_attr,
                        mean_accuracy=mean_acc, train_size=len(train_ds),

@@ -109,8 +109,7 @@ def beta_dist_at(d: float, cfg: LossConfig) -> float:
 def pairwise_sq_distances(z: Tensor) -> Tensor:
     """Matrix of squared euclidean distances between rows, on the tape.
 
-    Forward and backward both route through the kernels module, so this
-    op follows the active acceleration path.
+    Forward and backward are ``kernels.pairwise_sqdist`` and its VJP.
     """
     if z.data.ndim != 2:
         raise ShapeError(f"expected (n, d) embeddings, got {z.data.shape}")
@@ -118,7 +117,12 @@ def pairwise_sq_distances(z: Tensor) -> Tensor:
                   lambda g: kernels.pairwise_sqdist_vjp(z.data, g))
 
 
-def _validate_partner(partner, n: int) -> np.ndarray:
+def _validate_partner(partner, z: Tensor) -> np.ndarray:
+    """partner as int64, checked against the 2N >= 4 views stacked in z."""
+    if z.data.ndim != 2 or z.data.shape[0] < 4:
+        raise ShapeError(
+            f"need at least 4 stacked views of shape (2N, d), got {z.data.shape}")
+    n = z.data.shape[0]
     p = np.asarray(partner, dtype=np.int64)
     if p.shape != (n,):
         raise ShapeError(f"partner must have shape ({n},), got {p.shape}")
@@ -186,11 +190,7 @@ def beta_nt_xent(z: Tensor, partner, cfg: LossConfig) -> Tensor:
     view of the same sample. Returns the mean over all 2N anchor rows.
     The tape holds the squared distances and one node for the rest.
     """
-    n = z.data.shape[0]
-    if z.data.ndim != 2 or n < 4:
-        raise ShapeError(
-            f"need at least 4 stacked views of shape (2N, d), got {z.data.shape}")
-    p = _validate_partner(partner, n)
+    p = _validate_partner(partner, z)
     if cfg.normalize_z:
         z = l2_normalize_rows(z)
     d2 = pairwise_sq_distances(z)
@@ -213,13 +213,9 @@ def beta_nt_xent(z: Tensor, partner, cfg: LossConfig) -> Tensor:
 
 def nt_xent_cosine(z: Tensor, partner, tau: float) -> Tensor:
     """Plain NT-Xent on cosine similarities, the unbounded baseline."""
-    n = z.data.shape[0]
-    if z.data.ndim != 2 or n < 4:
-        raise ShapeError(
-            f"need at least 4 stacked views of shape (2N, d), got {z.data.shape}")
+    p = _validate_partner(partner, z)
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    p = _validate_partner(partner, n)
     zn = l2_normalize_rows(z)
     sims = matmul(zn, transpose(zn))
     inv_tau = 1.0 / float(tau)
@@ -233,8 +229,7 @@ def dist_normalizing(g: GaussianParams) -> Tensor:
     over latent dimensions and averaged over the batch.
     """
     lv = g.logvar
-    one = Tensor(np.asarray(1.0, dtype=lv.data.dtype), dtype=lv.data.dtype)
-    inner = sub(sub(add(lv, one), exp(lv)), mul(g.mu, g.mu))
+    inner = sub(sub(add(lv, 1.0), exp(lv)), mul(g.mu, g.mu))
     return tmean(scale(tsum(inner, axis=1), -0.5))
 
 
@@ -254,12 +249,10 @@ def dist_similarity(g_i: GaussianParams, g_j: GaussianParams) -> Tensor:
         raise ShapeError(
             f"paired moment shapes differ: {g_i.mu.data.shape} vs "
             f"{g_j.mu.data.shape}")
-    dt = g_i.mu.data.dtype
-    half = Tensor(np.asarray(0.5, dtype=dt), dtype=dt)
     si = exp(scale(g_i.logvar, 0.5))
     sj = exp(scale(g_j.logvar, 0.5))
-    sm = mul(add(si, sj), half)
-    mm = mul(add(g_i.mu, g_j.mu), half)
+    sm = mul(add(si, sj), 0.5)
+    mm = mul(add(g_i.mu, g_j.mu), 0.5)
     log_sm = log(sm)
     log_terms = sub(sub(scale(log_sm, 2.0), scale(g_i.logvar, 0.5)),
                     scale(g_j.logvar, 0.5))
@@ -275,16 +268,15 @@ def total_loss(z: Tensor, g: GaussianParams, partner,
     """Contrastive term plus weighted distribution regularizers.
 
     Returns the scalar loss on the tape together with a detached
-    per-term breakdown for logging.
+    per-term breakdown for logging; ``beta_nt_xent`` checks the partners.
     """
-    p = _validate_partner(partner, z.data.shape[0])
     if g.mu.data.shape[0] != z.data.shape[0]:
         raise ShapeError(
             f"head batch {g.mu.data.shape[0]} does not match embeddings "
             f"{z.data.shape[0]}")
-    l_beta = beta_nt_xent(z, p, cfg)
-    g_partner = GaussianParams(mu=gather_rows(g.mu, p),
-                               logvar=gather_rows(g.logvar, p))
+    l_beta = beta_nt_xent(z, partner, cfg)
+    g_partner = GaussianParams(mu=gather_rows(g.mu, partner),
+                               logvar=gather_rows(g.logvar, partner))
     l_dist = dist_similarity(g, g_partner)
     l_norm = dist_normalizing(g)
     total = add(l_beta, add(scale(l_dist, cfg.lambda_dist),

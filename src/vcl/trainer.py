@@ -3,6 +3,7 @@
 One training step draws a shuffled batch of augmented view pairs, runs
 encoder and Gaussian head, samples latents through the reparameterization
 trick, backpropagates the total loss and applies a fused AdamW update.
+AdamW's settings are one ``config.OptimSection``, carried by its state.
 Every stream of randomness (batch order, per-sample augmentation, the
 sampling noise xi) is keyed by the run seed plus structural indices
 (epoch, sample, step, view), never by call order, so a run is both
@@ -22,14 +23,14 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from vcl import kernels
 from vcl.autograd import Tensor
-from vcl.config import RunConfig, run_config_to_dict
+from vcl.config import OptimSection, RunConfig, run_config_to_dict
 from vcl.datasets import (FormatError, LabeledDataset, atomic_write, batches,
                           generate_synthetic, inject_outliers, read_container,
                           write_container)
@@ -85,25 +86,20 @@ def cosine_lr(sched: Schedule, t: int) -> float:
 
 @dataclass
 class OptimState:
+    """AdamW's moments and shared step count, under the settings ``optim``."""
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
+    optim: OptimSection = OptimSection()
 
 
-def init_optim_state(params: dict[str, Tensor], lr: float = 1e-3,
-                     beta1: float = 0.9, beta2: float = 0.999,
-                     eps: float = 1e-8,
-                     weight_decay: float = 0.01) -> OptimState:
+def init_optim_state(params: dict[str, Tensor], **optim) -> OptimState:
+    """Zero moments at step 0 under ``OptimSection(**optim)``, which
+    checks the AdamW keywords given and defaults the others."""
     return OptimState(
         m={k: np.zeros_like(p.data) for k, p in params.items()},
         v={k: np.zeros_like(p.data) for k, p in params.items()},
-        t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-        weight_decay=weight_decay)
+        t=0, optim=OptimSection(**optim))
 
 
 def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
@@ -111,27 +107,25 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                lr: float | None = None) -> tuple[dict[str, Tensor], OptimState]:
     """One decoupled-weight-decay Adam update over a named parameter dict.
 
-    Out of place: returns fresh Tensors and a fresh state with t + 1.
+    Out of place: returns fresh Tensors and a fresh state with t + 1 and
+    the same settings; ``lr`` overrides ``state.optim.lr`` for this step.
     The step count is shared across parameters, as all of them update on
     every call.
     """
     if set(grads) != set(params):
         raise KeyError("grads must cover exactly the parameter names")
-    eff_lr = state.lr if lr is None else float(lr)
+    o = state.optim
+    eff_lr = o.lr if lr is None else float(lr)
     t = state.t + 1
     new_params: dict[str, Tensor] = {}
     new_m: dict[str, np.ndarray] = {}
     new_v: dict[str, np.ndarray] = {}
     for name, p in params.items():
-        p2, m2, v2 = kernels.adamw_update(
+        p2, new_m[name], new_v[name] = kernels.adamw_update(
             p.data, grads[name], state.m[name], state.v[name], t,
-            eff_lr, state.beta1, state.beta2, state.eps, state.weight_decay)
+            eff_lr, o.beta1, o.beta2, o.eps, o.weight_decay)
         new_params[name] = Tensor(p2, requires_grad=True)
-        new_m[name] = m2
-        new_v[name] = v2
-    return new_params, OptimState(
-        m=new_m, v=new_v, t=t, lr=state.lr, beta1=state.beta1,
-        beta2=state.beta2, eps=state.eps, weight_decay=state.weight_decay)
+    return new_params, OptimState(new_m, new_v, t, o)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +261,7 @@ def pretrain(run: RunConfig, out_dir=None, resume=None,
             f"dataset of {len(ds)} rows cannot fill a batch of {run.batch_n}")
 
     params = init_params(enc_cfg, run.model.head_dim, run.seed)
-    state = init_optim_state(
-        params, lr=run.optim.lr, beta1=run.optim.beta1,
-        beta2=run.optim.beta2, eps=run.optim.eps,
-        weight_decay=run.optim.weight_decay)
+    state = init_optim_state(params, **asdict(run.optim))
     step = 0
     if resume is not None:
         ck = load_checkpoint(resume)
@@ -325,11 +316,11 @@ def pretrain(run: RunConfig, out_dir=None, resume=None,
                      "views_min": float(batch.views.min()),
                      "views_max": float(batch.views.max())})
             loss.backward()
-            grads = {k: (p.grad if p.grad is not None
-                         else np.zeros_like(p.data))
-                     for k, p in params.items()}
-            params, state = adamw_step(params, grads, state, lr=lr_t)
-            del batch, loss, grads  # the spent tape goes before the next batch
+            del batch, loss  # the spent tape goes before AdamW runs
+            params, state = adamw_step(
+                params, {k: (p.grad if p.grad is not None
+                             else np.zeros_like(p.data))
+                         for k, p in params.items()}, state, lr=lr_t)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             rec = {"step": step, "lr": lr_t, "l_beta": detail.l_beta,
                    "l_dist": detail.l_dist, "l_norm": detail.l_norm,

@@ -1,5 +1,7 @@
 import tracemalloc
+import weakref
 
+import numpy as np
 import pytest
 
 from vcl.config import parse_run_config
@@ -42,3 +44,23 @@ def traced_peak():
         return result, peak - base
 
     return run
+
+
+@pytest.fixture
+def tape_refs():
+    """Weak references to the arrays of the inner nodes (the ones with
+    parents) of the tape under ``root``: all dead once the tape is freed."""
+
+    def refs(root):
+        out, todo, seen = [], [root], set()
+        while todo:
+            node = todo.pop()
+            if id(node) in seen or not node._parents:
+                continue
+            seen.add(id(node))
+            if isinstance(node.data, np.ndarray):
+                out.append(weakref.ref(node.data))
+            todo.extend(node._parents)
+        return out
+
+    return refs

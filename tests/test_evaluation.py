@@ -124,6 +124,34 @@ def test_low_shot_finetune_protocol():
     assert d["subsample_size"] == result.subsample_size
 
 
+def test_low_shot_frees_the_spent_tape_before_adamw(monkeypatch, tape_refs):
+    params, train_ds, test_ds = _small_encoder_setup()
+    tapes = []
+
+    def keeping_encode(p, x):
+        h = encode(p, x)
+        tapes.append(tape_refs(h))
+        return h
+
+    alive_in_adamw = []
+    step = evaluation.adamw_step
+
+    def checking_step(*args):
+        alive_in_adamw.append(sum(r() is not None for r in tapes[-1]))
+        return step(*args)
+
+    monkeypatch.setattr(evaluation, "encode", keeping_encode)
+    monkeypatch.setattr(evaluation, "adamw_step", checking_step)
+    gc.disable()  # reference counting alone must free the tape
+    try:
+        low_shot_finetune(params, 0.5, train_ds, test_ds,
+                          FinetuneConfig(steps=2))
+    finally:
+        gc.enable()
+    assert len(tapes[0]) > 3
+    assert alive_in_adamw == [0, 0]
+
+
 def test_low_shot_full_fraction_uses_all_rows():
     params, ds = _identity_setup(m=200)
     train_ds, test_ds = train_test_split(ds, 0.25, seed=0)

@@ -315,17 +315,20 @@ def test_non_finite_embedding_gives_non_finite_loss(case, bad):
 
 def test_partner_validation():
     z = Tensor(_z(3), dtype=np.float64)
-    with pytest.raises(ShapeError):
-        beta_nt_xent(z, np.array([1, 0]), CFG)
-    with pytest.raises(ValueError):
-        beta_nt_xent(z, np.array([0, 1, 3, 2, 5, 4]), CFG)  # fixed point
-    with pytest.raises(ValueError):
-        beta_nt_xent(z, np.array([2, 0, 3, 1, 5, 4]), CFG)  # not involutive
-    with pytest.raises(ValueError):
-        beta_nt_xent(z, np.array([1, 0, 3, 2, 5, 9]), CFG)  # out of range
-    with pytest.raises(ShapeError):
-        beta_nt_xent(Tensor(_z(3, n=2), dtype=np.float64),
-                     np.array([1, 0]), CFG)
+    for loss in (lambda z, p: beta_nt_xent(z, p, CFG),
+                 lambda z, p: nt_xent_cosine(z, p, 0.07)):
+        with pytest.raises(ShapeError):
+            loss(z, np.array([1, 0]))
+        with pytest.raises(ValueError):
+            loss(z, np.array([0, 1, 3, 2, 5, 4]))  # fixed point
+        with pytest.raises(ValueError):
+            loss(z, np.array([2, 0, 3, 1, 5, 4]))  # not involutive
+        with pytest.raises(ValueError):
+            loss(z, np.array([1, 0, 3, 2, 5, 9]))  # out of range
+        with pytest.raises(ShapeError):
+            loss(Tensor(_z(3, n=2), dtype=np.float64), np.array([1, 0]))
+        with pytest.raises(ShapeError):
+            loss(Tensor(_z(3)[:, 0], dtype=np.float64), PARTNER6)
 
 
 def test_dist_similarity_matches_reference():

@@ -1,5 +1,6 @@
 """Optimizer, schedule, training loop, and checkpoint container."""
 
+import gc
 import hashlib
 import json
 import struct
@@ -10,6 +11,7 @@ import pytest
 
 from vcl import datasets, kernels, trainer
 from vcl.autograd import Tensor
+from vcl.config import OptimSection
 from vcl.model import params_fingerprint
 from vcl.trainer import (CKPT_MAGIC, CheckpointError, NanLossError, Schedule,
                          adamw_step, build_dataset, cosine_lr,
@@ -68,6 +70,41 @@ def test_adamw_converges_on_quadratic():
         grad = {"w": 2.0 * (params["w"].data - 2.0)}
         params, state = adamw_step(params, grad, state)
     assert abs(params["w"].data[0] - 2.0) < 1e-3
+
+
+def _two_params():
+    return {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True),
+            "b": Tensor(np.array([0.5]), requires_grad=True)}
+
+
+def test_init_optim_state_defaults_are_the_config_section():
+    state = init_optim_state(_two_params())
+    assert state.optim == OptimSection()
+    assert state.t == 0
+
+
+@pytest.mark.parametrize("bad", [{"lr": 0.0}, {"beta1": 1.0}])
+def test_init_optim_state_checks_its_settings(bad):
+    with pytest.raises(ValueError):
+        init_optim_state(_two_params(), **bad)
+
+
+def test_init_optim_state_takes_every_adamw_keyword():
+    settings = {"lr": 3e-4, "beta1": 0.8, "beta2": 0.99, "eps": 1e-6,
+                "weight_decay": 0.1}
+    state = init_optim_state(_two_params(), **settings)
+    assert state.optim == OptimSection(**settings)
+
+
+def test_adamw_step_carries_its_settings():
+    params = _two_params()
+    grads = {"w": np.array([0.1, 0.2], dtype=np.float32),
+             "b": np.array([-0.3], dtype=np.float32)}
+    state = init_optim_state(params, lr=0.05, beta1=0.5, weight_decay=0.2)
+    params, state1 = adamw_step(params, grads, state)
+    params, state2 = adamw_step(params, grads, state1, lr=0.01)
+    assert state1.optim == state2.optim == state.optim
+    assert state2.t == 2
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +203,33 @@ def test_step_wall_ms_covers_the_step(tiny_cfg, monkeypatch):
     result = pretrain(run, dataset=ds)
     total_ms = (time.perf_counter() - t0) * 1000.0
     assert sum(r["wall_ms"] for r in result.step_records) >= 0.9 * total_ms
+
+
+def test_spent_tape_is_freed_before_adamw(tiny_cfg, monkeypatch, tape_refs):
+    tapes = []
+    loss_for_batch = trainer._loss_for_batch
+
+    def keeping_loss(*args):
+        loss, detail = loss_for_batch(*args)
+        tapes.append(tape_refs(loss))
+        return loss, detail
+
+    alive_in_adamw = []
+    step = trainer.adamw_step
+
+    def checking_step(*args, **kwargs):
+        alive_in_adamw.append(sum(r() is not None for r in tapes[-1]))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "_loss_for_batch", keeping_loss)
+    monkeypatch.setattr(trainer, "adamw_step", checking_step)
+    gc.disable()  # reference counting alone must free the tape
+    try:
+        pretrain(tiny_cfg(steps=2))
+    finally:
+        gc.enable()
+    assert all(len(refs) > 10 for refs in tapes)
+    assert alive_in_adamw == [0, 0]
 
 
 def test_wide_step_lets_go_of_the_spent_tape(tiny_cfg, traced_peak):
