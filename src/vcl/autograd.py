@@ -23,7 +23,9 @@ The root of a backward pass is a scalar loss seeded with 1, or a tensor
 of any shape seeded with a given cotangent, so a caller that knows the
 gradient of a loss with respect to some output need not record the loss
 itself. A backward pass consumes its tape: a second one through the
-same nodes raises ValueError.
+same nodes raises ValueError. So each VJP runs at most once, and may
+build its result in a buffer its closure owns, such as a forward
+intermediate kept only for the backward.
 
 Storage is float32 by default. Reductions (``sum``, ``mean``, ``matmul``
 and the implicit reductions that undo broadcasting) accumulate in
@@ -212,7 +214,8 @@ def record(data: np.ndarray, parents: tuple, *vjps) -> Tensor:
     the output's own ``.grad`` as it is, after ``+= 0``, which turns -0
     into +0 as adding it into zeros did; any other result is added into
     a zero-filled buffer. So a VJP returns a view or an array that
-    nothing else holds.
+    nothing else holds: a fresh one, or a buffer only its closure owns,
+    which it may overwrite since it is called once.
     """
     out = Tensor.__new__(Tensor)
     out.data = data

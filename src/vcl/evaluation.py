@@ -119,6 +119,31 @@ def _new_head(rng: np.random.Generator, d: int, a: int) -> dict:
                               requires_grad=True)}
 
 
+def _fit_head(h64: np.ndarray, targets: np.ndarray, head: dict,
+              cfg: ProbeConfig) -> dict:
+    """``head`` after cfg.steps AdamW steps on the frozen features h64.
+
+    Weights and bias train as one flat tensor, so a step makes one
+    ``adamw_update`` call instead of two; the update is elementwise, so
+    every value is the one the two tensors would get on their own. The
+    returned ``probe.w`` and ``probe.b`` are views of the flat tensor.
+    """
+    shape = head["probe.w"].data.shape
+    k = head["probe.w"].data.size
+    flat = {"probe": Tensor(np.concatenate(
+        (head["probe.w"].data, head["probe.b"].data), axis=None),
+        requires_grad=True)}
+    state = init_optim_state(flat, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    for _ in range(cfg.steps):
+        wb = flat["probe"].data
+        g_w, g_b, _ = _head_grads(h64, wb[:k].reshape(shape), wb[k:], targets)
+        flat, state = adamw_step(
+            flat, {"probe": np.concatenate((g_w, g_b), axis=None)}, state)
+    wb = flat["probe"].data
+    return {"probe.w": Tensor(wb[:k].reshape(shape)),
+            "probe.b": Tensor(wb[k:])}
+
+
 def _score(feats: np.ndarray, head: dict, test_ds: LabeledDataset) -> tuple:
     """(per-attribute, mean) accuracy of ``head`` on the test features."""
     logits = feats @ head["probe.w"].data + head["probe.b"].data
@@ -185,16 +210,11 @@ def linear_probe(params: dict[str, Tensor], train_ds: LabeledDataset,
     feats_train = _features(params, train_ds.inputs)
     feats_test = _features(params, test_ds.inputs)
 
-    head = _new_head(np.random.default_rng(cfg.seed), feats_train.shape[1],
-                     train_ds.labels.shape[1])
-    state = init_optim_state(head, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    h64 = feats_train.astype(np.float64)
-    targets = train_ds.labels.astype(np.float32)
-    for _ in range(cfg.steps):
-        g_w, g_b, _ = _head_grads(h64, head["probe.w"].data,
-                                  head["probe.b"].data, targets)
-        head, state = adamw_step(head, {"probe.w": g_w, "probe.b": g_b},
-                                 state)
+    head = _fit_head(feats_train.astype(np.float64),
+                     train_ds.labels.astype(np.float32),
+                     _new_head(np.random.default_rng(cfg.seed),
+                               feats_train.shape[1], train_ds.labels.shape[1]),
+                     cfg)
 
     if params_fingerprint(params) != before:
         raise RuntimeError("probe training mutated the frozen encoder")

@@ -32,24 +32,23 @@ def pairwise_sqdist(z: np.ndarray) -> np.ndarray:
     differences z_i - z_j cast to float64, as in the one-shot form over
     an (n, n, d) difference tensor. Rows are computed SQDIST_BLOCK at a
     time in reused buffers instead, so memory beyond the output is
-    O(n d). Only columns j >= i are computed and then mirrored: z_j - z_i
-    is exactly -(z_i - z_j), so both triangles hold the same bits. No
-    entry depends on the block size.
+    O(n d); each difference is taken in the storage dtype and written
+    straight into the float64 buffer. Only columns j >= i are computed
+    and then mirrored: z_j - z_i is exactly -(z_i - z_j), so both
+    triangles hold the same bits. No entry depends on the block size.
     """
     if z.ndim != 2:
         raise ValueError(f"pairwise_sqdist needs (n, d) input, got {z.shape}")
     n, d = z.shape
     out = np.empty((n, n), dtype=z.dtype)
     rows = min(SQDIST_BLOCK, n)
-    diff = np.empty(rows * n * d, dtype=z.dtype)
-    diff64 = np.empty(diff.shape, dtype=np.float64)
+    diff64 = np.empty(rows * n * d, dtype=np.float64)
     acc = np.empty(rows * n, dtype=np.float64)
     for i in range(0, n, SQDIST_BLOCK):
         b, m = min(SQDIST_BLOCK, n - i), n - i
-        dv = diff[:b * m * d].reshape(b, m, d)
-        np.subtract(z[i:i + b, None, :], z[None, i:, :], out=dv)
         dv64 = diff64[:b * m * d].reshape(b, m, d)
-        dv64[...] = dv
+        np.subtract(z[i:i + b, None, :], z[None, i:, :], out=dv64,
+                    dtype=z.dtype)
         av = acc[:b * m].reshape(b, m)
         np.einsum("ijk,ijk->ij", dv64, dv64, out=av)
         out[i:i + b, i:] = av
@@ -60,28 +59,36 @@ def pairwise_sqdist(z: np.ndarray) -> np.ndarray:
 def pairwise_sqdist_vjp(z: np.ndarray, gout: np.ndarray) -> np.ndarray:
     """Backward of pairwise_sqdist: grad_z[i] = 2 sum_j (g[i,j] + g[j,i]) (z_i - z_j).
 
-    The symmetric sum g + g.T is built in float64 one SYM_TILE square at
-    a time, upper triangle first and then mirrored, instead of through a
-    whole-matrix transpose; each entry is still the one addition
-    g[i,j] + g[j,i].
+    The symmetric sum g + g.T is built in float64 one band of SYM_TILE
+    rows at a time, from SYM_TILE square tiles, and each band's row sums
+    and product with z finish its rows of the result before the next
+    band is built: the scratch is one (SYM_TILE, n) band, not (n, n).
+    Each entry is the one addition of the whole-matrix form it replaced,
+    with the operands in its order: g[i,j] + g[j,i] in the tiles on and
+    above the diagonal, g[j,i] + g[i,j] in those below.
     """
     n = z.shape[0]
     if gout.shape != (n, n):
         raise ValueError(
             f"vjp cotangent shape {gout.shape} does not match {n} rows")
-    gs = np.empty((n, n), dtype=np.float64)
+    z64 = z.astype(np.float64)
+    out = np.empty(z.shape, dtype=z.dtype)
+    band = np.empty((min(SYM_TILE, n), n), dtype=np.float64)
     for i in range(0, n, SYM_TILE):
         rows = slice(i, i + SYM_TILE)
-        for j in range(i, n, SYM_TILE):
+        gs = band[:min(SYM_TILE, n - i)]
+        for j in range(0, n, SYM_TILE):
             cols = slice(j, j + SYM_TILE)
-            np.add(gout[rows, cols], gout[cols, rows].T, out=gs[rows, cols],
-                   dtype=np.float64)
-            if j != i:
-                gs[cols, rows] = gs[rows, cols].T
-    z64 = z.astype(np.float64)
-    row = gs.sum(axis=1)
-    out = 2.0 * (row[:, None] * z64 - gs @ z64)
-    return out.astype(z.dtype)
+            first, second = gout[rows, cols], gout[cols, rows].T
+            if j < i:
+                first, second = second, first
+            np.add(first, second, out=gs[:, cols], dtype=np.float64)
+        row = gs.sum(axis=1)
+        # a one-row product would go to gemv and sum in another order;
+        # the whole band's product keeps the last band's rows in gemm's
+        prod = (band @ z64)[:len(gs)]
+        out[rows] = 2.0 * (row[:, None] * z64[rows] - prod)
+    return out
 
 
 @functools.lru_cache(maxsize=16)

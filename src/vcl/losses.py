@@ -27,13 +27,13 @@ Everything that participates in training returns autograd Tensors;
 the scalar reference ``beta_dist_at`` computes in float64 and returns a
 plain float.
 
-On the tape a contrastive loss is two nodes past the embeddings: the
-similarity matrix (squared distances, or the cosine Gram matrix) and one
-node from there to the mean cross-entropy, with a hand-written backward.
-That node performs the float operations of the chain of elementary ops
-it replaced, in the same order, so losses and gradients are the same to
-the bit; it keeps three (2N)^2 arrays for the backward instead of one
-or more per elementary op.
+On the tape the beta contrastive loss is one node over the embeddings,
+from them to the mean cross-entropy, with a hand-written backward that
+ends in ``kernels.pairwise_sqdist_vjp``; the cosine loss is one such
+node over its Gram matrix. Each performs the float operations of the
+chain of elementary ops it replaced, in the same order, so losses and
+gradients are the same to the bit. The beta node keeps two (2N)^2
+arrays for its backward, and builds the cotangent in one of them.
 """
 
 from __future__ import annotations
@@ -146,16 +146,20 @@ def l2_normalize_rows(z: Tensor) -> Tensor:
 
 
 def _nt_xent_node(src: Tensor, logits: np.ndarray, partner: np.ndarray,
-                  factors: tuple) -> Tensor:
+                  factors: tuple, pullback=None) -> Tensor:
     """Contrastive cross-entropy over ``logits`` as one tape node over src.
 
-    ``logits`` is a fresh (n, n) array computed elementwise from
-    ``src.data``; it is used as a buffer. ``factors`` are the elementwise
-    derivatives d logits / d src, scalars or (n, n) arrays, multiplied
-    into the cotangent in order. Each anchor row's maximum (diagonal
-    excluded) is subtracted before exponentiation; that shift cancels
-    exactly in the log-sum-exp. The diagonal is removed by adding -inf
-    before exp, so a NaN there still poisons the loss.
+    ``logits`` is a fresh (n, n) array computed elementwise from a
+    similarity matrix of ``src.data``; it is used as a buffer, by the
+    forward pass and then by the backward, which builds the cotangent in
+    it (a backward pass consumes its tape, so nothing reads it after).
+    ``factors`` are the elementwise derivatives d logits / d similarity,
+    scalars or (n, n) arrays, multiplied into the cotangent in order;
+    ``pullback`` maps that cotangent to src's, and is the identity when
+    src is the similarity matrix itself. Each anchor row's maximum
+    (diagonal excluded) is subtracted before exponentiation; that shift
+    cancels exactly in the log-sum-exp. The diagonal is removed by adding
+    -inf before exp, so a NaN there still poisons the loss.
 
     Forward and backward do the float operations, in the same order, of
     the chain of elementary tape ops this node replaces (kept in
@@ -175,11 +179,11 @@ def _nt_xent_node(src: Tensor, logits: np.ndarray, partner: np.ndarray,
 
     def vjp(grad):
         g_row = np.broadcast_to(grad, (n,)) / n
-        g = e * (g_row / denom)[:, None]
+        g = np.multiply(e, (g_row / denom)[:, None], out=e)
         g[rows, partner] -= g_row
         for f in factors:
             g *= f
-        return g
+        return g if pullback is None else pullback(g)
     return record(loss, (src,), vjp)
 
 
@@ -188,12 +192,13 @@ def beta_nt_xent(z: Tensor, partner, cfg: LossConfig) -> Tensor:
 
     z stacks 2N views row-wise; partner[i] is the index of the other
     view of the same sample. Returns the mean over all 2N anchor rows.
-    The tape holds the squared distances and one node for the rest.
+    The tape holds one node over z (over its row-normalized copy with
+    ``normalize_z``): the squared distances become the expm1 term in
+    their own buffer, and the node's backward ends in the distances' VJP.
     """
     p = _validate_partner(partner, z)
     if cfg.normalize_z:
         z = l2_normalize_rows(z)
-    d2 = pairwise_sq_distances(z)
     b = float(cfg.beta)
     s2 = float(cfg.sigma0) ** 2
     slope = -b / (2.0 * s2)
@@ -201,14 +206,16 @@ def beta_nt_xent(z: Tensor, partner, cfg: LossConfig) -> Tensor:
     # bound (b + 1) / b, which leaves every rounding as it was
     bound = (b + 1.0) / b if cfg.sign_mode == "negated" else -(b + 1.0) / b
     inv_tau = 1.0 / float(cfg.tau)
-    em1 = d2.data * slope
+    em1 = kernels.pairwise_sqdist(z.data)
+    em1 *= slope
     em1 += np.asarray(-(b / 2.0) * math.log(2.0 * math.pi * s2),
                       dtype=z.data.dtype)
     np.expm1(em1, out=em1)
     logits = em1 * bound
     logits *= inv_tau
     em1 += 1.0  # d expm1(u) / du
-    return _nt_xent_node(d2, logits, p, (inv_tau, bound, em1, slope))
+    return _nt_xent_node(z, logits, p, (inv_tau, bound, em1, slope),
+                         lambda g: kernels.pairwise_sqdist_vjp(z.data, g))
 
 
 def nt_xent_cosine(z: Tensor, partner, tau: float) -> Tensor:

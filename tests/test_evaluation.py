@@ -5,7 +5,7 @@ import gc
 import numpy as np
 import pytest
 
-from vcl import evaluation
+from vcl import evaluation, kernels
 from vcl.autograd import (Tensor, _expit, add, matmul, mul, record, sub,
                           tmean)
 from vcl.datasets import GenConfig, LabeledDataset, generate_synthetic
@@ -14,6 +14,7 @@ from vcl.evaluation import (FinetuneConfig, ProbeConfig, _bce_grad,
                             mean_attribute_accuracy, stratified_subsample,
                             train_test_split)
 from vcl.model import EncoderConfig, encode, init_params, params_fingerprint
+from vcl.trainer import adamw_step, init_optim_state
 
 
 def _identity_setup(m=400, a=4, margin=0.5):
@@ -296,6 +297,52 @@ def test_protocols_equal_runs_on_the_taped_head(monkeypatch):
     closed_form = _run_protocols(monkeypatch)
     monkeypatch.setattr(evaluation, "_head_grads", _taped_head_grads)
     assert _run_protocols(monkeypatch) == closed_form
+
+
+def _two_tensor_fit(h64, targets, head, cfg):
+    """The probe head trained as two tensors, one AdamW update each."""
+    state = init_optim_state(head, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    for _ in range(cfg.steps):
+        g_w, g_b, _ = _head_grads(h64, head["probe.w"].data,
+                                  head["probe.b"].data, targets)
+        head, state = adamw_step(head, {"probe.w": g_w, "probe.b": g_b},
+                                 state)
+    return head
+
+
+@pytest.mark.parametrize("d,a,wd", [(64, 8, 0.0), (7, 3, 0.05), (1, 1, 0.0)])
+def test_flat_probe_head_equals_two_tensor_training(d, a, wd, monkeypatch):
+    rng = np.random.default_rng(d)
+    h64 = (rng.standard_normal((163, d)) * 2).astype(np.float32).astype(
+        np.float64)
+    y = rng.integers(0, 2, size=(163, a)).astype(np.float32)
+    cfg = ProbeConfig(steps=40, lr=0.01, weight_decay=wd)
+    calls = []
+    real = kernels.adamw_update
+    monkeypatch.setattr(kernels, "adamw_update",
+                        lambda *args: calls.append(1) or real(*args))
+    got = evaluation._fit_head(
+        h64, y, evaluation._new_head(np.random.default_rng(1), d, a), cfg)
+    assert len(calls) == cfg.steps  # one update per step, not two
+    monkeypatch.undo()
+    want = _two_tensor_fit(
+        h64, y, evaluation._new_head(np.random.default_rng(1), d, a), cfg)
+    assert set(got) == {"probe.w", "probe.b"}
+    for name in got:
+        assert got[name].data.shape == want[name].data.shape
+        assert got[name].data.dtype == np.float32
+        assert got[name].data.tobytes() == want[name].data.tobytes()
+    # weights and bias are views of one flat tensor
+    base = got["probe.w"].data.base
+    assert base is not None and got["probe.b"].data.base is base
+
+
+def test_linear_probe_equals_two_tensor_head(monkeypatch):
+    params, train_ds, test_ds = _small_encoder_setup()
+    cfg = ProbeConfig(steps=60, lr=0.01, weight_decay=0.01, seed=3)
+    flat = linear_probe(params, train_ds, test_ds, cfg)
+    monkeypatch.setattr(evaluation, "_fit_head", _two_tensor_fit)
+    assert linear_probe(params, train_ds, test_ds, cfg) == flat
 
 
 def test_protocols_leave_no_tape_for_the_cyclic_collector():

@@ -54,6 +54,49 @@ def test_blocked_pairwise_sqdist_keeps_float64_storage():
     assert out.tobytes() == _one_shot_sqdist(z).tobytes()
 
 
+def _sqdist_via_storage_diff(z):
+    """The blocked form that took each block's differences into a
+    storage-dtype buffer and then copied them into the float64 one."""
+    n, d = z.shape
+    out = np.empty((n, n), dtype=z.dtype)
+    blk = kernels.SQDIST_BLOCK
+    for i in range(0, n, blk):
+        b = min(blk, n - i)
+        dv = np.subtract(z[i:i + b, None, :], z[None, i:, :])
+        dv64 = dv.astype(np.float64)
+        av = np.einsum("ijk,ijk->ij", dv64, dv64)
+        out[i:i + b, i:] = av
+        out[i:, i:i + b] = av.T
+    return out
+
+
+def _awkward_rows(n, dtype):
+    """Random rows seeded with +-0, subnormals and +-inf."""
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((n, 16)).astype(dtype)
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, np.inf, -np.inf],
+                       dtype=dtype)
+    flat = z.reshape(-1)
+    flat[rng.choice(flat.size, min(flat.size, 24), replace=False)] = \
+        special[np.arange(min(flat.size, 24)) % special.size]
+    return z
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 256, 1024])
+def test_sqdist_differences_go_straight_to_float64(n, dtype):
+    # 2 and 7 are below one block, 8 is one, 9 ends in a one-row block
+    z = _awkward_rows(n, dtype)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = kernels.pairwise_sqdist(z)
+        want = _sqdist_via_storage_diff(z)
+    assert out.dtype == dtype
+    assert out.tobytes() == want.tobytes()
+    if n == 1024 and dtype == np.float32:
+        assert np.isnan(out).any() and np.isinf(out).any()
+
+
 def test_pairwise_sqdist_vjp_matches_finite_differences():
     rng = np.random.default_rng(1)
     z = rng.standard_normal((6, 3))
@@ -199,18 +242,61 @@ def _sqdist_vjp_whole_matrix(z, gout):
     return out.astype(z.dtype)
 
 
-@pytest.mark.parametrize("n", [17, 1023, 1024])
+def _sqdist_vjp_tile_ordered(z, gout):
+    """The whole-matrix backward with the operand order of the tiled
+    symmetric sum: g[i,j] + g[j,i] where i's tile is at or above j's,
+    g[j,i] + g[i,j] below, which decides the payload of a NaN pair."""
+    g = gout.astype(np.float64)
+    tile = np.arange(len(g)) // kernels.SYM_TILE
+    gs = np.where(tile[:, None] <= tile[None, :], g + g.T, g.T + g)
+    z64 = z.astype(np.float64)
+    row = gs.sum(axis=1)
+    return (2.0 * (row[:, None] * z64 - gs @ z64)).astype(z.dtype)
+
+
+def _nan_with_payload(k, dtype):
+    bits = np.array(np.nan, dtype=dtype).view(f"u{np.dtype(dtype).itemsize}")
+    return (bits + np.array(k, dtype=bits.dtype)).view(dtype)
+
+
+@pytest.mark.parametrize("n", [4, 17, 127, 128, 129, 300, 1023, 1024])
 def test_tiled_sqdist_vjp_is_bit_equal_to_whole_matrix_form(n):
-    # 17 is below one tile; 1023 ends in a partial tile, 1024 does not
+    # 4 and 17 are below one band of SYM_TILE rows; 129 ends in a
+    # one-row band, 300 and 1023 in part bands, 1024 in a full one
     rng = np.random.default_rng(n)
     z = rng.standard_normal((n, 32)).astype(np.float32)
     gout = rng.standard_normal((n, n)).astype(np.float32)
     out = kernels.pairwise_sqdist_vjp(z, gout)
     assert out.dtype == np.float32
     assert out.tobytes() == _sqdist_vjp_whole_matrix(z, gout).tobytes()
-    g64 = gout.astype(np.float64)
-    assert (kernels.pairwise_sqdist_vjp(z, g64).tobytes()
-            == _sqdist_vjp_whole_matrix(z, g64).tobytes())
+    for zz, g in ((z, gout.astype(np.float64)),
+                  (z.astype(np.float64), gout.astype(np.float64))):
+        assert (kernels.pairwise_sqdist_vjp(zz, g).tobytes()
+                == _sqdist_vjp_whole_matrix(zz, g).tobytes())
+    # NaN pairs with distinct payloads, across and within tiles, leave
+    # some rows of the result NaN and the rest finite
+    pairs = [(0, n - 1), (1, 2), (n // 2, n - 2)][:1 if n < 8 else 3]
+    for dtype in (np.float32, np.float64):
+        g = gout.astype(dtype)
+        for k, (i, j) in enumerate(pairs):
+            g[i, j] = _nan_with_payload(2 * k + 1, dtype)
+            g[j, i] = _nan_with_payload(2 * k + 2, dtype)
+        zz = z.astype(dtype)
+        with np.errstate(invalid="ignore"):
+            out = kernels.pairwise_sqdist_vjp(zz, g)
+            want = _sqdist_vjp_tile_ordered(zz, g)
+        assert np.isnan(out).any() and np.isfinite(out).any()
+        assert out.tobytes() == want.tobytes()
+
+
+def test_row_band_sqdist_vjp_scratch_is_bounded(traced_peak):
+    # the whole (n, n) float64 symmetric sum held 8 MiB at n = 1024; a
+    # band of SYM_TILE rows holds 1 MiB
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((1024, 32)).astype(np.float32)
+    gout = rng.standard_normal((1024, 1024)).astype(np.float32)
+    _, peak = traced_peak(lambda: kernels.pairwise_sqdist_vjp(z, gout))
+    assert peak <= 3 * 2**20
 
 
 def _default_rngs(key, indices):

@@ -12,12 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from vcl import losses, trainer
+from vcl import kernels, losses, trainer
 from vcl.autograd import (DomainError, ShapeError, Tensor, add, exp,
                           grad_check, log, matmul, mul, record, scale, sub,
                           tmean, transpose, tsum)
 from vcl.config import parse_run_config
-from vcl.losses import (LossConfig, beta_dist_at, beta_nt_xent,
+from vcl.losses import (SIGN_MODES, LossConfig, beta_dist_at, beta_nt_xent,
                         dist_normalizing, dist_similarity, l2_normalize_rows,
                         nt_xent_cosine, pairwise_sq_distances, total_loss)
 from vcl.model import GaussianParams, params_fingerprint
@@ -287,6 +287,102 @@ def test_fused_contrastive_node_matches_op_chain_in_float64(case):
         want_loss, want_grad = _loss_and_grad(chain, z0, PARTNER6, *args)
         assert abs(float(loss) - float(want_loss)) <= 1e-12
         assert np.abs(grad - want_grad).max() <= 1e-12
+
+
+def two_node_beta_nt_xent(z, partner, cfg):
+    """The beta loss as a squared-distance node and an NT-Xent node over
+    it, the distances kept on the tape."""
+    p = np.asarray(partner)
+    if cfg.normalize_z:
+        z = l2_normalize_rows(z)
+    d2 = pairwise_sq_distances(z)
+    b = float(cfg.beta)
+    s2 = float(cfg.sigma0) ** 2
+    slope = -b / (2.0 * s2)
+    bound = (b + 1.0) / b if cfg.sign_mode == "negated" else -(b + 1.0) / b
+    inv_tau = 1.0 / float(cfg.tau)
+    em1 = d2.data * slope
+    em1 += np.asarray(-(b / 2.0) * math.log(2.0 * math.pi * s2),
+                      dtype=z.data.dtype)
+    np.expm1(em1, out=em1)
+    logits = em1 * bound
+    logits *= inv_tau
+    em1 += 1.0
+    return losses._nt_xent_node(d2, logits, p, (inv_tau, bound, em1, slope))
+
+
+def _capture_buffers(monkeypatch):
+    """Record each contrastive node's logits buffer and VJP as built."""
+    seen = {}
+    real_node, real_record = losses._nt_xent_node, losses.record
+
+    def node(src, logits, *args, **kwargs):
+        seen["logits"], seen["src"] = logits, src
+        return real_node(src, logits, *args, **kwargs)
+
+    def record(data, parents, vjp):
+        seen["vjp"] = vjp
+        return real_record(data, parents, vjp)
+
+    monkeypatch.setattr(losses, "_nt_xent_node", node)
+    monkeypatch.setattr(losses, "record", record)
+    return seen
+
+
+ONE_NODE_CASES = [
+    pytest.param(LossConfig(sign_mode=mode, normalize_z=norm),
+                 id=f"{mode}{'-normalized' if norm else ''}")
+    for mode in SIGN_MODES for norm in (False, True)]
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["near", "far"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cfg", ONE_NODE_CASES)
+def test_one_node_beta_loss_is_bit_equal_to_two_node_chain(cfg, dtype, far,
+                                                           monkeypatch):
+    n = 300  # the distances' backward runs over three row bands
+    rng = np.random.default_rng(n)
+    if far:
+        # each view next to its partner and far from the rest: negated
+        # and not normalized, every softmax row is one-hot and the
+        # cotangent all -0, which the two-node chain turned into +0
+        # (g += 0) before the distances' backward; the one node does not
+        z0 = (np.repeat(rng.standard_normal((n // 2, 32)) * 100, 2, axis=0)
+              + rng.standard_normal((n, 32)) * 0.01).astype(dtype)
+    else:
+        z0 = (rng.standard_normal((n, 32)) * 0.6).astype(dtype)
+    seen = _capture_buffers(monkeypatch)
+    z = Tensor(z0, requires_grad=True, dtype=dtype)
+    out = beta_nt_xent(z, _pairs(n), cfg)
+    # one node over z, or over its normalized copy: no distance node
+    src = seen["src"]
+    assert out._parents == (src,)
+    assert (src._parents[0] if cfg.normalize_z else src) is z
+    fed = []
+    real_vjp = kernels.pairwise_sqdist_vjp
+    monkeypatch.setattr(kernels, "pairwise_sqdist_vjp",
+                        lambda zd, g: fed.append(g) or real_vjp(zd, g))
+    out.backward()
+    # the cotangent is built in the forward's logits buffer
+    assert len(fed) == 1 and fed[0] is seen["logits"]
+    monkeypatch.undo()
+    want_loss, want_grad = _loss_and_grad(two_node_beta_nt_xent, z0,
+                                          _pairs(n), cfg)
+    assert out.data.dtype == z.grad.dtype == dtype
+    assert out.data.tobytes() == want_loss.tobytes()
+    assert z.grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cosine_node_builds_its_cotangent_in_place(dtype, monkeypatch):
+    n = 256
+    z0 = np.random.default_rng(7).standard_normal((n, 32)).astype(dtype)
+    seen = _capture_buffers(monkeypatch)
+    out = nt_xent_cosine(Tensor(z0, requires_grad=True, dtype=dtype),
+                         _pairs(n), 0.07)
+    assert out._parents == (seen["src"],)
+    # its bits are checked against the op chain by the fused-node tests
+    assert seen["vjp"](np.ones((), dtype=dtype)) is seen["logits"]
 
 
 def test_pretrain_with_op_chain_ends_with_same_parameters(monkeypatch):

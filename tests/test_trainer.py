@@ -252,6 +252,16 @@ def test_wide_step_peak_without_zero_filled_gradients(tiny_cfg, traced_peak):
     assert peak <= 37 * 2**20
 
 
+def test_wide_step_keeps_each_square_matrix_once(tiny_cfg, traced_peak):
+    # the same 2-step N = 512 run: with one loss node over z (no distance
+    # node), the cotangent built in the logits buffer and g + g^T formed
+    # one row band at a time, it peaks near 29.5 MiB (35.5 before)
+    run = tiny_cfg(steps=2, batch_n=512, data={"m": 1024})
+    ds = build_dataset(run)
+    _, peak = traced_peak(lambda: pretrain(run, dataset=ds))
+    assert peak <= 31 * 2**20
+
+
 def test_epoch_records_summarize_steps(tiny_cfg):
     result = pretrain(tiny_cfg(steps=6))
     assert [e["epoch"] for e in result.epoch_records] == [0, 1]
