@@ -134,14 +134,13 @@ def _fit_head(h64: np.ndarray, targets: np.ndarray, head: dict,
         (head["probe.w"].data, head["probe.b"].data), axis=None),
         requires_grad=True)}
     state = init_optim_state(flat, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    wb = flat["probe"].data  # updated in place by every step
+    w, b = wb[:k].reshape(shape), wb[k:]
     for _ in range(cfg.steps):
-        wb = flat["probe"].data
-        g_w, g_b, _ = _head_grads(h64, wb[:k].reshape(shape), wb[k:], targets)
-        flat, state = adamw_step(
-            flat, {"probe": np.concatenate((g_w, g_b), axis=None)}, state)
-    wb = flat["probe"].data
-    return {"probe.w": Tensor(wb[:k].reshape(shape)),
-            "probe.b": Tensor(wb[k:])}
+        g_w, g_b, _ = _head_grads(h64, w, b, targets)
+        adamw_step(flat, {"probe": np.concatenate((g_w, g_b), axis=None)},
+                   state)
+    return {"probe.w": Tensor(w), "probe.b": Tensor(b)}
 
 
 def _score(feats: np.ndarray, head: dict, test_ds: LabeledDataset) -> tuple:
@@ -289,7 +288,7 @@ def low_shot_finetune(params: dict[str, Tensor], fraction: float,
                                     trainable["probe.b"].data, sub_targets)
         h.backward((g64 @ w.astype(np.float64).T).astype(np.float32))
         del h  # the spent tape goes before AdamW runs
-        trainable, state = adamw_step(trainable, {
+        adamw_step(trainable, {
             **{k: p.grad for k, p in trainable.items() if p.grad is not None},
             "probe.w": g_w, "probe.b": g_b}, state)
 

@@ -154,29 +154,60 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return crop_resize(src[None], [[0, 0, h, w]], out_h, out_w)[0]
 
 
-def adamw_update(p, g, m, v, t, lr, beta1, beta2, eps, wd):
-    """One decoupled-weight-decay Adam step; returns (p2, m2, v2) out of place.
+def adamw_update(p, g, m, v, t, lr, beta1, beta2, eps, wd, out=None):
+    """One decoupled-weight-decay Adam step; returns (p2, m2, v2).
 
     p2 = p - lr * mhat / (sqrt(vhat) + eps) - lr * wd * p, evaluated in
     float64 in that association, with m2 = beta1 m + (1 - beta1) g and
-    v2 = beta2 v + ((1 - beta2) g) g. The float64 work runs in place in
-    four buffers, so the inputs are not modified. An array of more than
-    ADAMW_BLOCK entries is updated in flat runs of that many, each rounded
-    into the outputs before the next, so the float64 scratch stays bounded.
+    v2 = beta2 v + ((1 - beta2) g) g, each rounded to p's dtype. The
+    results are written into ``out``: either ``(p, m, v)`` themselves,
+    for an update in place, or three C-ordered arrays of p's shape and
+    dtype that overlap no input and no other output. With no ``out``
+    they go to new arrays and the inputs are not modified. An array of
+    more than ADAMW_BLOCK entries is updated in flat runs of that many,
+    each read whole before its results are written, so the float64
+    scratch stays bounded and an update in place reads no entry it has
+    already written.
     """
     if not (p.shape == g.shape == m.shape == v.shape):
         raise ValueError("adamw_update needs same-shape p, g, m, v")
     if t < 1:
         raise ValueError(f"step count must be >= 1, got {t}")
-    if p.size > ADAMW_BLOCK:
-        outs = [np.empty(p.shape, dtype=p.dtype) for _ in range(3)]
-        flat = [a.reshape(-1) for a in (p, g, m, v, *outs)]
-        for i in range(0, p.size, ADAMW_BLOCK):
-            blk = [a[i:i + ADAMW_BLOCK] for a in flat]
-            for out, got in zip(blk[4:], adamw_update(
-                    *blk[:4], t, lr, beta1, beta2, eps, wd)):
-                out[...] = got
-        return tuple(outs)
+    if out is None:
+        out = tuple(np.empty(p.shape, dtype=p.dtype) for _ in range(3))
+    else:
+        out = tuple(out)
+        _check_adamw_out(out, (p, g, m, v))
+    if p.size <= ADAMW_BLOCK:
+        _adamw_block(p, g, m, v, out, t, lr, beta1, beta2, eps, wd)
+        return out
+    flat = [a.reshape(-1) for a in (p, g, m, v, *out)]
+    for i in range(0, p.size, ADAMW_BLOCK):
+        blk = [a[i:i + ADAMW_BLOCK] for a in flat]
+        _adamw_block(*blk[:4], blk[4:], t, lr, beta1, beta2, eps, wd)
+    return out
+
+
+def _check_adamw_out(out, inputs) -> None:
+    """Raise ValueError unless ``out`` suits adamw_update's inputs."""
+    p, _, m, v = inputs
+    if len(out) != 3 or any(
+            not isinstance(o, np.ndarray) or o.shape != p.shape
+            or o.dtype != p.dtype or not o.flags.c_contiguous
+            or not o.flags.writeable for o in out):
+        raise ValueError("adamw_update's out must be three writeable "
+                         "C-ordered arrays of p's shape and dtype")
+    if out[0] is p and out[1] is m and out[2] is v:
+        return
+    if any(np.may_share_memory(o, a) for i, o in enumerate(out)
+           for a in (*inputs, *out[:i])):
+        raise ValueError("adamw_update's out must be (p, m, v) or arrays "
+                         "that overlap no input and each other")
+
+
+def _adamw_block(p, g, m, v, out, t, lr, beta1, beta2, eps, wd) -> None:
+    """adamw_update on one run of entries: every input is read, with the
+    float64 work in place in five buffers, before ``out`` is written."""
     g64 = g.astype(np.float64)
     tmp = np.multiply(g64, 1.0 - beta1)
     m2 = np.multiply(m, beta1, dtype=np.float64)
@@ -196,7 +227,8 @@ def adamw_update(p, g, m, v, t, lr, beta1, beta2, eps, wd):
     np.multiply(p2, lr * wd, out=tmp)
     p2 -= g64
     p2 -= tmp
-    return p2.astype(p.dtype), m2.astype(p.dtype), v2.astype(p.dtype)
+    for o, r in zip(out, (p2, m2, v2)):
+        o[...] = r
 
 
 # constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)

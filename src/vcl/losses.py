@@ -110,6 +110,10 @@ def pairwise_sq_distances(z: Tensor) -> Tensor:
     """Matrix of squared euclidean distances between rows, on the tape.
 
     Forward and backward are ``kernels.pairwise_sqdist`` and its VJP.
+    The training loss calls the kernels directly, inside its one loss
+    node. This node stays because ``vcl gradcheck``'s tape-level check
+    of the distance kernel and its VJP is built on it, and that check is
+    the finite-difference gate on the kernel pair.
     """
     if z.data.ndim != 2:
         raise ShapeError(f"expected (n, d) embeddings, got {z.data.shape}")

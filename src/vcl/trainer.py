@@ -107,25 +107,26 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                lr: float | None = None) -> tuple[dict[str, Tensor], OptimState]:
     """One decoupled-weight-decay Adam update over a named parameter dict.
 
-    Out of place: returns fresh Tensors and a fresh state with t + 1 and
-    the same settings; ``lr`` overrides ``state.optim.lr`` for this step.
-    The step count is shared across parameters, as all of them update on
-    every call.
+    In place: each parameter's data and its moments in ``state`` are
+    overwritten, ``state.t`` goes up by one, and the same ``params`` and
+    ``state`` are returned. Every parameter's ``.grad`` is cleared, as
+    the next backward would add into it. ``lr`` overrides
+    ``state.optim.lr`` for this step. The step count is shared across
+    parameters, as all of them update on every call.
     """
     if set(grads) != set(params):
         raise KeyError("grads must cover exactly the parameter names")
     o = state.optim
     eff_lr = o.lr if lr is None else float(lr)
     t = state.t + 1
-    new_params: dict[str, Tensor] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
     for name, p in params.items():
-        p2, new_m[name], new_v[name] = kernels.adamw_update(
-            p.data, grads[name], state.m[name], state.v[name], t,
-            eff_lr, o.beta1, o.beta2, o.eps, o.weight_decay)
-        new_params[name] = Tensor(p2, requires_grad=True)
-    return new_params, OptimState(new_m, new_v, t, o)
+        m, v = state.m[name], state.v[name]
+        kernels.adamw_update(p.data, grads[name], m, v, t, eff_lr,
+                             o.beta1, o.beta2, o.eps, o.weight_decay,
+                             out=(p.data, m, v))
+        p.grad = None
+    state.t = t
+    return params, state
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +318,9 @@ def pretrain(run: RunConfig, out_dir=None, resume=None,
                      "views_max": float(batch.views.max())})
             loss.backward()
             del batch, loss  # the spent tape goes before AdamW runs
-            params, state = adamw_step(
-                params, {k: (p.grad if p.grad is not None
-                             else np.zeros_like(p.data))
-                         for k, p in params.items()}, state, lr=lr_t)
+            adamw_step(params, {k: (p.grad if p.grad is not None
+                                    else np.zeros_like(p.data))
+                                for k, p in params.items()}, state, lr=lr_t)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             rec = {"step": step, "lr": lr_t, "l_beta": detail.l_beta,
                    "l_dist": detail.l_dist, "l_norm": detail.l_norm,

@@ -319,8 +319,12 @@ def test_flat_probe_head_equals_two_tensor_training(d, a, wd, monkeypatch):
     cfg = ProbeConfig(steps=40, lr=0.01, weight_decay=wd)
     calls = []
     real = kernels.adamw_update
-    monkeypatch.setattr(kernels, "adamw_update",
-                        lambda *args: calls.append(1) or real(*args))
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(kernels, "adamw_update", counted)
     got = evaluation._fit_head(
         h64, y, evaluation._new_head(np.random.default_rng(1), d, a), cfg)
     assert len(calls) == cfg.steps  # one update per step, not two

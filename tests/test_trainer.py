@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vcl import datasets, kernels, trainer
-from vcl.autograd import Tensor
+from vcl.autograd import Tensor, add, matmul, mul, tsum
 from vcl.config import OptimSection
 from vcl.model import params_fingerprint
 from vcl.trainer import (CKPT_MAGIC, CheckpointError, NanLossError, Schedule,
@@ -44,15 +44,57 @@ def test_cosine_lr_endpoints_and_midpoint():
 # optimizer
 
 def test_adamw_step_hand_value():
-    params = {"w": Tensor(np.array([1.0]), requires_grad=True,
-                          dtype=np.float64)}
+    w = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
+    data, params = w.data, {"w": w}
     state = init_optim_state(params, lr=1e-2, weight_decay=1e-2)
+    m, v = state.m["w"], state.v["w"]
     new, state2 = adamw_step(params, {"w": np.array([0.1])}, state)
     expected = 1.0 - 1e-2 * 1e-2 - 1e-2 * 0.1 / (0.1 + 1e-8)
-    assert abs(new["w"].data[0] - expected) < 1e-12
-    assert state2.t == 1
-    assert state.t == 0  # out of place
-    assert params["w"].data[0] == 1.0
+    # in place: the same Tensor, data, moments and state, updated
+    assert new is params and new["w"] is w and w.data is data
+    assert state2 is state and state.m["w"] is m and state.v["w"] is v
+    assert abs(data[0] - expected) < 1e-12
+    assert abs(m[0] - 0.01) < 1e-15 and abs(v[0] - 1e-5) < 1e-18
+    assert state.t == 1
+
+
+def test_adamw_step_clears_grads_and_trains_as_fresh_tensors():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((6, 5)))
+    init = {"w": rng.standard_normal((5, 3)), "b": rng.standard_normal(3)}
+
+    def loss_of(params):
+        y = add(matmul(x, params["w"]), params["b"])
+        return tsum(mul(y, y))
+
+    params = {k: Tensor(a, requires_grad=True) for k, a in init.items()}
+    state = init_optim_state(params, lr=0.05, weight_decay=0.1)
+    got = []
+    for _ in range(3):
+        loss = loss_of(params)
+        loss.backward()
+        got.append(loss.data.tobytes())
+        params, state = adamw_step(
+            params, {k: p.grad for k, p in params.items()}, state)
+        assert all(p.grad is None for p in params.values())
+    # the out-of-place contract: fresh Tensors every step, so no .grad
+    # outlives its step
+    o, data = state.optim, {k: Tensor(a).data for k, a in init.items()}
+    m = {k: np.zeros_like(a) for k, a in data.items()}
+    v = {k: np.zeros_like(a) for k, a in data.items()}
+    want = []
+    for t in (1, 2, 3):
+        fresh = {k: Tensor(a, requires_grad=True) for k, a in data.items()}
+        loss = loss_of(fresh)
+        loss.backward()
+        want.append(loss.data.tobytes())
+        for k, p in fresh.items():
+            data[k], m[k], v[k] = kernels.adamw_update(
+                p.data, p.grad, m[k], v[k], t, o.lr, o.beta1, o.beta2,
+                o.eps, o.weight_decay)
+    assert got == want
+    for k, p in params.items():
+        assert p.data.tobytes() == data[k].tobytes()
 
 
 def test_adamw_step_requires_matching_keys():
