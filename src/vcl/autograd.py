@@ -27,11 +27,15 @@ same nodes raises ValueError. So each VJP runs at most once, and may
 build its result in a buffer its closure owns, such as a forward
 intermediate kept only for the backward.
 
-Storage is float32 by default. Reductions (``sum``, ``mean``, ``matmul``
-and the implicit reductions that undo broadcasting) accumulate in
-float64 before rounding back to the storage dtype. ``grad_check``
-promotes its input to float64 so the central-difference oracle is not
-drowned in storage rounding noise.
+Storage is float32 by default. Reductions (``sum``, ``mean``,
+``matmul`` and the implicit reductions that undo broadcasting)
+accumulate in float64 before rounding back to the storage dtype. A
+``matmul`` recorded with ``float32_gemm`` instead multiplies float32
+operands as a float32 GEMM, in its forward and both VJPs, with an
+error per entry bounded by K * 2^-24 * (|x| @ |y|) for inner dimension
+K (Higham's gamma_K); the low-shot fine-tune records its encoder so.
+``grad_check`` promotes its input to float64 so the central-difference
+oracle is not drowned in storage rounding noise.
 
 Broadcasting is intentionally limited: equal shapes, a scalar on either
 side, a trailing-aligned lower-rank operand such as ``(D,)`` against
@@ -94,7 +98,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # matmul accumulates in float64 even for float32 operands
+    # matmul accumulates in float64 even for float32 operands, unless it
+    # was recorded with float32_gemm
     if x.dtype == np.float32 and y.dtype == np.float32:
         return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.float32)
     return x @ y
@@ -278,15 +283,20 @@ def scale(a: Tensor, s: float) -> Tensor:
     return record(a.data * s, (a,), lambda g: g * s)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, float32_gemm: bool = False) -> Tensor:
+    """a @ b; with ``float32_gemm``, two float32 operands multiply as a
+    float32 GEMM (``np.matmul``) instead of in float64 (``_mm``), in the
+    forward and both VJPs. A float64 operand promotes the other either
+    way."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(
             f"matmul needs 2-d operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(
             f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    return record(_mm(a.data, b.data), (a, b), lambda g: _mm(g, b.data.T),
-                  lambda g: _mm(a.data.T, g))
+    mm = np.matmul if float32_gemm else _mm
+    return record(mm(a.data, b.data), (a, b), lambda g: mm(g, b.data.T),
+                  lambda g: mm(a.data.T, g))
 
 
 def transpose(a: Tensor) -> Tensor:

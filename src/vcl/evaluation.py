@@ -11,11 +11,13 @@ Both heads minimise the mean binary cross-entropy softplus(x) - x y over
 their logits x = h w + b, but neither the loss value nor the head is
 recorded: ``_head_grads`` computes the logits, the loss gradient g with
 respect to them (``_bce_grad``, in closed form) and the head's own
-gradients h^T g and sum(g) with the same float64 products and sums the
-tape's matmul and add nodes evaluated, so the heads train on the same
-bits as a taped head would. The probe casts its frozen features to
-float64 once and records no tape at all; low-shot records only the
-encoder, whose tape is seeded with the cotangent g w^T of its output h.
+gradients h^T g and sum(g) with the same products and sums the tape's
+matmul and add nodes evaluate, so the heads train on the same bits as a
+taped head would. The probe casts its frozen features to float64 once,
+so its products accumulate in float64 as the tape's do by default, and
+records no tape at all. Low-shot multiplies in float32 throughout: it
+records only the encoder, with ``float32_gemm``, and seeds that tape
+with the cotangent g w^T of its output h.
 """
 
 from __future__ import annotations
@@ -94,22 +96,23 @@ def _bce_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return v * _expit(logits) + (-v) * targets
 
 
-def _head_grads(h64: np.ndarray, w: np.ndarray, b: np.ndarray,
+def _head_grads(h: np.ndarray, w: np.ndarray, b: np.ndarray,
                 targets: np.ndarray) -> tuple:
-    """(g_w, g_b, g64) for the affine head x = h w + b on float32 w, b.
+    """(g_w, g_b, g) for the affine head x = h w + b on float32 w, b.
 
-    ``h64`` is the float64 copy of the float32 features h, and g64 the
-    float64 copy of g = dL/dx. g_w = h^T g and g_b = sum(g) over rows,
-    accumulated in float64 and rounded to float32: the values the
-    ``matmul`` and ``add`` VJPs, with ``_unbroadcast``, leave in a taped
-    head's .grad.
+    g = dL/dx is float32. The products h w and g_w = h^T g run in h's
+    dtype and round to float32, and g_b = sum(g) over rows accumulates
+    in float64. So float32 features h give the values a taped head
+    recorded with ``float32_gemm`` leaves in its .grad, and their float64
+    copy gives the default ``matmul``'s, without a cast per call; the
+    ``add`` VJP's ``_unbroadcast`` sums g_b the same way in both.
     """
-    w64 = w.astype(np.float64)
-    logits = (h64 @ w64).astype(np.float32) + b
-    g64 = _bce_grad(logits, targets).astype(np.float64)
-    g_w = (h64.T @ g64).astype(np.float32)
-    g_b = np.add.reduce(g64, axis=0).astype(np.float32)
-    return g_w, g_b, g64
+    w = w.astype(h.dtype, copy=False)
+    logits = (h @ w).astype(np.float32, copy=False) + b
+    g = _bce_grad(logits, targets)
+    g_w = h.T @ g.astype(h.dtype, copy=False)
+    g_b = np.add.reduce(g, axis=0, dtype=np.float64).astype(np.float32)
+    return g_w.astype(np.float32, copy=False), g_b, g
 
 
 def _new_head(rng: np.random.Generator, d: int, a: int) -> dict:
@@ -153,15 +156,19 @@ def _score(feats: np.ndarray, head: dict, test_ds: LabeledDataset) -> tuple:
 ENCODE_ROWS = 256
 
 
-def _features(params: dict[str, Tensor], inputs: np.ndarray) -> np.ndarray:
-    """encode(params, inputs).data with no tape, ENCODE_ROWS rows at a
-    time, so the float64 matmul scratch stays bounded. A row of a float64
-    matmul does not depend on the other rows, so neither does a feature."""
+def _features(params: dict[str, Tensor], inputs: np.ndarray,
+              float32_gemm: bool = False) -> np.ndarray:
+    """encode(params, inputs, float32_gemm).data with no tape,
+    ENCODE_ROWS rows at a time, so the matmul scratch (float64 operand
+    copies, or float32 activations) stays bounded. A row of either
+    product does not depend on the other rows, so neither does a
+    feature."""
     frozen = {k: Tensor(p.data) for k, p in params.items()}
     out = np.empty((len(inputs), params["enc_out.w"].data.shape[1]),
                    dtype=np.float32)
     for i in range(0, len(inputs), ENCODE_ROWS):
-        out[i:i + ENCODE_ROWS] = encode(frozen, inputs[i:i + ENCODE_ROWS]).data
+        out[i:i + ENCODE_ROWS] = encode(frozen, inputs[i:i + ENCODE_ROWS],
+                                        float32_gemm).data
     return out
 
 
@@ -267,7 +274,8 @@ def low_shot_finetune(params: dict[str, Tensor], fraction: float,
 
     The caller's params are never touched; training happens on copies.
     fraction = 1.0 is the sanity upper bound, fine-tuning on the full
-    training split.
+    training split. Every product, the final test encode included, is a
+    float32 GEMM.
     """
     _check_split(train_ds, test_ds)
     rng = np.random.default_rng(cfg.seed)
@@ -282,18 +290,19 @@ def low_shot_finetune(params: dict[str, Tensor], fraction: float,
     state = init_optim_state(trainable, lr=cfg.lr,
                              weight_decay=cfg.weight_decay)
     for _ in range(cfg.steps):
-        h = encode(trainable, sub_inputs)
+        h = encode(trainable, sub_inputs, float32_gemm=True)
         w = trainable["probe.w"].data
-        g_w, g_b, g64 = _head_grads(h.data.astype(np.float64), w,
-                                    trainable["probe.b"].data, sub_targets)
-        h.backward((g64 @ w.astype(np.float64).T).astype(np.float32))
+        g_w, g_b, g = _head_grads(h.data, w, trainable["probe.b"].data,
+                                  sub_targets)
+        h.backward(g @ w.T)
         del h  # the spent tape goes before AdamW runs
         adamw_step(trainable, {
             **{k: p.grad for k, p in trainable.items() if p.grad is not None},
             "probe.w": g_w, "probe.b": g_b}, state)
 
-    per_attr, mean_acc = _score(_features(trainable, test_ds.inputs),
-                                trainable, test_ds)
+    per_attr, mean_acc = _score(
+        _features(trainable, test_ds.inputs, float32_gemm=True), trainable,
+        test_ds)
     return ProbeResult(protocol="low_shot", fraction=float(fraction),
                        seed=cfg.seed, per_attribute=per_attr,
                        mean_accuracy=mean_acc, train_size=len(train_ds),

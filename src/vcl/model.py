@@ -127,15 +127,19 @@ def _as_batch_tensor(x, input_dim: int) -> Tensor:
     return Tensor(flat)
 
 
-def encode(params: dict[str, Tensor], x) -> Tensor:
-    """Forward pass through the MLP encoder; returns (B, embed_dim)."""
+def encode(params: dict[str, Tensor], x,
+           float32_gemm: bool = False) -> Tensor:
+    """Forward pass through the MLP encoder; returns (B, embed_dim).
+    ``float32_gemm`` is each ``matmul``'s."""
     n_layers = _num_encoder_layers(params)
     if n_layers == 0 or "enc_out.w" not in params:
         raise KeyError("params dict is missing encoder layers")
     h = _as_batch_tensor(x, params["enc0.w"].data.shape[0])
     for i in range(n_layers):
-        h = relu(add(matmul(h, params[f"enc{i}.w"]), params[f"enc{i}.b"]))
-    return add(matmul(h, params["enc_out.w"]), params["enc_out.b"])
+        h = relu(add(matmul(h, params[f"enc{i}.w"], float32_gemm=float32_gemm),
+                     params[f"enc{i}.b"]))
+    return add(matmul(h, params["enc_out.w"], float32_gemm=float32_gemm),
+               params["enc_out.b"])
 
 
 def gaussian_head(params: dict[str, Tensor], h: Tensor) -> GaussianParams:

@@ -100,6 +100,63 @@ def test_matmul_gradients_exact():
     assert np.allclose(w.grad, x.data.T @ g, atol=1e-12)
 
 
+U32 = 2.0**-24  # float32's unit roundoff
+
+
+def _within_gemm_bound(got, x, y):
+    """Whether the float32 product ``got`` of float32 x @ y is within
+    K u (|x| @ |y|) + u |ref| of the float64-accumulated product ref,
+    entry by entry: Higham's gamma_K bound for an inner dimension K,
+    plus the rounding of ref itself to float32."""
+    x64, y64 = x.astype(np.float64), y.astype(np.float64)
+    ref = x64 @ y64
+    bound = x.shape[1] * U32 * (np.abs(x64) @ np.abs(y64)) + U32 * np.abs(ref)
+    return got.dtype == np.float32 and bool(
+        np.all(np.abs(got.astype(np.float64) - ref) <= bound))
+
+
+@pytest.mark.parametrize("m,k,n", [
+    (256, 768, 256),   # the encoder's first layer at N = 128
+    (1024, 768, 256),  # ... at N = 512
+    (163, 64, 8),      # the low-shot head
+    (256, 64, 32),     # the Gaussian head's 64 x 32 layers
+    (256, 256, 64),    # the encoder's output layer
+])
+def test_float32_matmul_and_vjps_are_within_the_gemm_bound(m, k, n):
+    rng = np.random.default_rng(m * k + n)
+    a = Tensor(rng.standard_normal((m, k)), requires_grad=True)
+    b = Tensor(rng.standard_normal((k, n)) * 0.1, requires_grad=True)
+    g = rng.standard_normal((m, n)).astype(np.float32)
+    out = matmul(a, b, float32_gemm=True)
+    out.backward(g)
+    assert _within_gemm_bound(out.data, a.data, b.data)
+    # a float32 GEMM, not the default float64 product rounded once
+    assert out.data.tobytes() != matmul(a, b).data.tobytes()
+    # the VJPs multiply by the transposed operands: K = n, then K = m
+    assert _within_gemm_bound(a.grad, g, b.data.T)
+    assert _within_gemm_bound(b.grad, a.data.T, g)
+
+
+def test_float32_matmul_keeps_float64_and_mixed_operands_in_float64():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((5, 4))
+    w = rng.standard_normal((4, 3))
+    for a, b in ((x, w), (x.astype(np.float32), w),
+                 (x, w.astype(np.float32))):
+        out = matmul(Tensor(a, dtype=a.dtype), Tensor(b, dtype=b.dtype),
+                     float32_gemm=True)
+        assert out.data.dtype == np.float64
+        assert out.data.tobytes() == (a @ b).tobytes()
+
+
+def test_float32_operands_accumulate_in_float64_by_default():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((64, 768)).astype(np.float32)
+    w = rng.standard_normal((768, 32)).astype(np.float32)
+    want = (x.astype(np.float64) @ w.astype(np.float64)).astype(np.float32)
+    assert matmul(Tensor(x), Tensor(w)).data.tobytes() == want.tobytes()
+
+
 def test_gather_rows_accumulates_repeats():
     a = Tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float64)
     tsum(gather_rows(a, [1, 1, 0])).backward()
@@ -333,7 +390,8 @@ def _both_vjps(forward, vjp_a, vjp_b):
     tracked operand's VJP also computes an untracked partner's, which
     is then dropped."""
 
-    def op(a, b):
+    def op(a, b, float32_gemm=False):
+        assert not float32_gemm  # the products below are the default's
         if not isinstance(b, Tensor):
             b = autograd._operand(b, a)
 

@@ -5,7 +5,7 @@ import gc
 import numpy as np
 import pytest
 
-from vcl import evaluation, kernels
+from vcl import autograd, evaluation, kernels
 from vcl.autograd import (Tensor, _expit, add, matmul, mul, record, sub,
                           tmean)
 from vcl.datasets import GenConfig, LabeledDataset, generate_synthetic
@@ -129,8 +129,8 @@ def test_low_shot_frees_the_spent_tape_before_adamw(monkeypatch, tape_refs):
     params, train_ds, test_ds = _small_encoder_setup()
     tapes = []
 
-    def keeping_encode(p, x):
-        h = encode(p, x)
+    def keeping_encode(*args, **kwargs):
+        h = encode(*args, **kwargs)
         tapes.append(tape_refs(h))
         return h
 
@@ -243,7 +243,7 @@ def test_protocols_equal_runs_on_the_taped_chain(monkeypatch):
     assert _run_protocols(monkeypatch) == closed_form
 
 
-def test_blocked_features_are_bit_equal_to_one_whole_batch_encode():
+def _blocked_features_equal_one_whole_batch(float32_gemm):
     # the acceptance split: 1638 train and 410 test rows, each ending in a
     # partial block of ENCODE_ROWS
     ds = generate_synthetic(GenConfig(m=2048, seed=0))
@@ -251,29 +251,58 @@ def test_blocked_features_are_bit_equal_to_one_whole_batch_encode():
     untracked = {k: Tensor(p.data) for k, p in params.items()}
     for part in train_test_split(ds, 0.2, seed=0):
         assert len(part) in (1638, 410)
-        got = evaluation._features(params, part.inputs)
-        want = encode(untracked, part.inputs).data
+        got = evaluation._features(params, part.inputs, float32_gemm)
+        want = encode(untracked, part.inputs, float32_gemm).data
         assert got.dtype == want.dtype == np.float32
         assert got.tobytes() == want.tobytes()
+
+
+def test_blocked_features_are_bit_equal_to_one_whole_batch_encode():
+    _blocked_features_equal_one_whole_batch(False)
+
+
+def test_blocked_float32_features_are_bit_equal_to_one_whole_batch_encode():
+    # the low-shot test encode's: a row of a float32 GEMM does not depend
+    # on the other rows either
+    _blocked_features_equal_one_whole_batch(True)
+
+
+def test_only_low_shot_multiplies_in_float32(monkeypatch):
+    params, train_ds, test_ds = _small_encoder_setup()
+    calls = []
+    real_mm = autograd._mm
+
+    def spy(x, y):
+        calls.append(x.shape)
+        return real_mm(x, y)
+
+    monkeypatch.setattr(autograd, "_mm", spy)
+    linear_probe(params, train_ds, test_ds, ProbeConfig(steps=3))
+    assert calls  # the probe's features accumulate in float64
+    calls.clear()
+    low_shot_finetune(params, 0.5, train_ds, test_ds, FinetuneConfig(steps=3))
+    assert not calls
 
 
 # ---------------------------------------------------------------------------
 # the closed-form head against the taped one it replaced
 
-def _taped_head(h, w, b, targets):
+def _taped_head(h, w, b, targets, float32_gemm=False):
     """The head recorded as add(matmul(h, w), b) and seeded with the BCE
     cotangent g at its logits: (g, h.grad, w.grad, b.grad)."""
     h, w, b = (Tensor(a, requires_grad=True) for a in (h, w, b))
-    logits = add(matmul(h, w), b)
+    logits = add(matmul(h, w, float32_gemm), b)
     g = _bce_grad(logits.data, targets)
     logits.backward(g)
     return g, h.grad, w.grad, b.grad
 
 
-def _taped_head_grads(h64, w, b, targets):
-    # _head_grads' contract, computed on the tape
-    g, _, g_w, g_b = _taped_head(h64.astype(np.float32), w, b, targets)
-    return g_w, g_b, g.astype(np.float64)
+def _taped_head_grads(h, w, b, targets):
+    # _head_grads' contract, computed on the tape: the probe's float64
+    # copy of float32 features, or low-shot's float32 features
+    g, _, g_w, g_b = _taped_head(h.astype(np.float32), w, b, targets,
+                                 float32_gemm=h.dtype == np.float32)
+    return g_w, g_b, g
 
 
 @pytest.mark.parametrize("rows,d,a", [(1638, 64, 8), (163, 64, 8),
@@ -284,13 +313,18 @@ def test_head_grads_are_bit_equal_to_the_taped_head(rows, d, a):
     w = (rng.standard_normal((d, a)) * 0.5).astype(np.float32)
     b = rng.standard_normal(a).astype(np.float32)
     y = rng.integers(0, 2, size=(rows, a)).astype(np.float32)
-    g_w, g_b, g64 = _head_grads(h.astype(np.float64), w, b, y)
-    # the encoder cotangent low-shot seeds its tape with
-    g_h = (g64 @ w.astype(np.float64).T).astype(np.float32)
-    got = (g64.astype(np.float32), g_h, g_w, g_b)
-    for mine, taped in zip(got, _taped_head(h, w, b, y)):
-        assert mine.dtype == taped.dtype == np.float32
-        assert mine.tobytes() == taped.tobytes()
+    # the probe's float64 copy of the features against the default
+    # matmul, and low-shot's float32 features against float32_gemm
+    for features in (h.astype(np.float64), h):
+        f32 = features.dtype == np.float32
+        taped = _taped_head(h, w, b, y, float32_gemm=f32)
+        g_w, g_b, g = _head_grads(features, w, b, y)
+        # the encoder cotangent low-shot seeds its tape with
+        g_h = g @ w.T if f32 else autograd._mm(g, w.T)
+        got = (g, g_h, g_w, g_b)
+        for mine, want in zip(got, taped):
+            assert mine.dtype == want.dtype == np.float32
+            assert mine.tobytes() == want.tobytes()
 
 
 def test_protocols_equal_runs_on_the_taped_head(monkeypatch):
