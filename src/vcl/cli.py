@@ -143,6 +143,8 @@ def _load_artifacts(args):
 def cmd_eval(args) -> int:
     if args.protocol == "lowshot" and args.fraction is None:
         raise UsageError("--fraction is required with --protocol lowshot")
+    if args.protocol == "linear" and args.fraction is not None:
+        raise UsageError("--fraction applies to --protocol lowshot only")
     if args.fraction is not None and not 0.0 < args.fraction <= 1.0:
         raise UsageError(f"--fraction must be in (0, 1], got {args.fraction}")
     ck, ds = _load_artifacts(args)

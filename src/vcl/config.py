@@ -76,7 +76,8 @@ class OptimSection:
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0")
+            raise ValueError(
+                f"weight_decay must be >= 0, got {self.weight_decay}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
         if self.eps <= 0:

@@ -7,17 +7,18 @@ draws a label-stratified subsample of the training split, and fine-tunes
 end to end. Both report per-attribute and mean accuracies at the 0.5
 threshold.
 
-Both heads minimise the mean binary cross-entropy softplus(x) - x y over
-their logits x = h w + b, but neither the loss value nor the head is
-recorded: ``_head_grads`` computes the logits, the loss gradient g with
-respect to them (``_bce_grad``, in closed form) and the head's own
-gradients h^T g and sum(g) with the same products and sums the tape's
-matmul and add nodes evaluate, so the heads train on the same bits as a
-taped head would. The probe casts its frozen features to float64 once,
-so its products accumulate in float64 as the tape's do by default, and
-records no tape at all. Low-shot multiplies in float32 throughout: it
-records only the encoder, with ``float32_gemm``, and seeds that tape
-with the cotangent g w^T of its output h.
+Both keep their affine head as one float32 (d + 1, A) tensor [W; b],
+one AdamW entry, and minimise the mean binary cross-entropy
+softplus(x) - x y over its logits x = h W + b. Neither the loss value
+nor the head is recorded: ``_head_grads`` computes the logits, the loss
+gradient g with respect to them (``_bce_grad``, in closed form) and the
+head's own gradient [h^T g; sum(g)] with the same products and sums the
+tape's matmul and add nodes evaluate, so the heads train on the same
+bits as a taped head would. The probe casts its frozen features to
+float64 once, so its products accumulate in float64 as the tape's do by
+default, and records no tape at all. Low-shot multiplies in float32
+throughout: it records only the encoder, with ``float32_gemm``, and
+seeds that tape with the cotangent g W^T of its output h.
 """
 
 from __future__ import annotations
@@ -96,59 +97,49 @@ def _bce_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return v * _expit(logits) + (-v) * targets
 
 
-def _head_grads(h: np.ndarray, w: np.ndarray, b: np.ndarray,
-                targets: np.ndarray) -> tuple:
-    """(g_w, g_b, g) for the affine head x = h w + b on float32 w, b.
+def _head_grads(h: np.ndarray, wb: np.ndarray, targets: np.ndarray) -> tuple:
+    """(g_wb, g) for the affine head x = h W + b, wb = [W; b] in float32.
 
-    g = dL/dx is float32. The products h w and g_w = h^T g run in h's
-    dtype and round to float32, and g_b = sum(g) over rows accumulates
-    in float64. So float32 features h give the values a taped head
-    recorded with ``float32_gemm`` leaves in its .grad, and their float64
-    copy gives the default ``matmul``'s, without a cast per call; the
-    ``add`` VJP's ``_unbroadcast`` sums g_b the same way in both.
+    g = dL/dx is float32. The products h W and h^T g, in rows :d of
+    g_wb, run in h's dtype and round to float32, and sum(g) over rows,
+    in row d, accumulates in float64. So float32 features h give the
+    values a taped head recorded with ``float32_gemm`` leaves in its
+    .grad, and their float64 copy gives the default ``matmul``'s,
+    without a cast per call; the ``add`` VJP's ``_unbroadcast`` sums
+    the bias gradient the same way in both.
     """
-    w = w.astype(h.dtype, copy=False)
-    logits = (h @ w).astype(np.float32, copy=False) + b
+    w = wb[:-1].astype(h.dtype, copy=False)
+    logits = (h @ w).astype(np.float32, copy=False) + wb[-1]
     g = _bce_grad(logits, targets)
-    g_w = h.T @ g.astype(h.dtype, copy=False)
-    g_b = np.add.reduce(g, axis=0, dtype=np.float64).astype(np.float32)
-    return g_w.astype(np.float32, copy=False), g_b, g
+    g_wb = np.empty_like(wb)
+    g_wb[:-1] = h.T @ g.astype(h.dtype, copy=False)
+    g_wb[-1] = np.add.reduce(g, axis=0, dtype=np.float64)
+    return g_wb, g
 
 
-def _new_head(rng: np.random.Generator, d: int, a: int) -> dict:
-    """An affine head from d features to a logits: Glorot weights, zero bias."""
-    return {"probe.w": Tensor(_glorot(rng, d, a), requires_grad=True),
-            "probe.b": Tensor(np.zeros(a, dtype=np.float32),
-                              requires_grad=True)}
+def _new_head(rng: np.random.Generator, d: int, a: int) -> Tensor:
+    """An affine head from d features to a logits as one (d + 1, a)
+    tensor [W; b]: Glorot weights W, zero bias b."""
+    return Tensor(np.concatenate((_glorot(rng, d, a),
+                                  np.zeros((1, a), dtype=np.float32))))
 
 
-def _fit_head(h64: np.ndarray, targets: np.ndarray, head: dict,
-              cfg: ProbeConfig) -> dict:
-    """``head`` after cfg.steps AdamW steps on the frozen features h64.
-
-    Weights and bias train as one flat tensor, so a step makes one
-    ``adamw_update`` call instead of two; the update is elementwise, so
-    every value is the one the two tensors would get on their own. The
-    returned ``probe.w`` and ``probe.b`` are views of the flat tensor.
-    """
-    shape = head["probe.w"].data.shape
-    k = head["probe.w"].data.size
-    flat = {"probe": Tensor(np.concatenate(
-        (head["probe.w"].data, head["probe.b"].data), axis=None),
-        requires_grad=True)}
-    state = init_optim_state(flat, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    wb = flat["probe"].data  # updated in place by every step
-    w, b = wb[:k].reshape(shape), wb[k:]
+def _fit_head(h64: np.ndarray, targets: np.ndarray, head: Tensor,
+              cfg: ProbeConfig) -> Tensor:
+    """``head`` after cfg.steps AdamW steps on the frozen features h64,
+    trained in place."""
+    params = {"probe": head}
+    state = init_optim_state(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     for _ in range(cfg.steps):
-        g_w, g_b, _ = _head_grads(h64, w, b, targets)
-        adamw_step(flat, {"probe": np.concatenate((g_w, g_b), axis=None)},
+        adamw_step(params, {"probe": _head_grads(h64, head.data, targets)[0]},
                    state)
-    return {"probe.w": Tensor(w), "probe.b": Tensor(b)}
+    return head
 
 
-def _score(feats: np.ndarray, head: dict, test_ds: LabeledDataset) -> tuple:
-    """(per-attribute, mean) accuracy of ``head`` on the test features."""
-    logits = feats @ head["probe.w"].data + head["probe.b"].data
+def _score(feats: np.ndarray, wb: np.ndarray,
+           test_ds: LabeledDataset) -> tuple:
+    """(per-attribute, mean) accuracy of the head ``wb`` on test features."""
+    logits = feats @ wb[:-1] + wb[-1]
     return mean_attribute_accuracy(_expit(logits), test_ds.labels)
 
 
@@ -224,7 +215,7 @@ def linear_probe(params: dict[str, Tensor], train_ds: LabeledDataset,
 
     if params_fingerprint(params) != before:
         raise RuntimeError("probe training mutated the frozen encoder")
-    per_attr, mean_acc = _score(feats_test, head, test_ds)
+    per_attr, mean_acc = _score(feats_test, head.data, test_ds)
     return ProbeResult(protocol="linear", fraction=None, seed=cfg.seed,
                        per_attribute=per_attr, mean_accuracy=mean_acc,
                        train_size=len(train_ds), test_size=len(test_ds))
@@ -285,24 +276,22 @@ def low_shot_finetune(params: dict[str, Tensor], fraction: float,
 
     trainable = {k: Tensor(params[k].data.copy(), requires_grad=True)
                  for k in params if k.startswith("enc")}
-    trainable.update(_new_head(rng, params["enc_out.w"].data.shape[1],
-                               train_ds.labels.shape[1]))
+    trainable["probe"] = _new_head(rng, params["enc_out.w"].data.shape[1],
+                                   train_ds.labels.shape[1])
+    wb = trainable["probe"].data  # updated in place by every step
     state = init_optim_state(trainable, lr=cfg.lr,
                              weight_decay=cfg.weight_decay)
     for _ in range(cfg.steps):
         h = encode(trainable, sub_inputs, float32_gemm=True)
-        w = trainable["probe.w"].data
-        g_w, g_b, g = _head_grads(h.data, w, trainable["probe.b"].data,
-                                  sub_targets)
-        h.backward(g @ w.T)
+        g_wb, g = _head_grads(h.data, wb, sub_targets)
+        h.backward(g @ wb[:-1].T)
         del h  # the spent tape goes before AdamW runs
         adamw_step(trainable, {
             **{k: p.grad for k, p in trainable.items() if p.grad is not None},
-            "probe.w": g_w, "probe.b": g_b}, state)
+            "probe": g_wb}, state)
 
     per_attr, mean_acc = _score(
-        _features(trainable, test_ds.inputs, float32_gemm=True), trainable,
-        test_ds)
+        _features(trainable, test_ds.inputs, float32_gemm=True), wb, test_ds)
     return ProbeResult(protocol="low_shot", fraction=float(fraction),
                        seed=cfg.seed, per_attribute=per_attr,
                        mean_accuracy=mean_acc, train_size=len(train_ds),

@@ -159,15 +159,14 @@ def adamw_update(p, g, m, v, t, lr, beta1, beta2, eps, wd, out=None):
 
     p2 = p - lr * mhat / (sqrt(vhat) + eps) - lr * wd * p, evaluated in
     float64 in that association, with m2 = beta1 m + (1 - beta1) g and
-    v2 = beta2 v + ((1 - beta2) g) g, each rounded to p's dtype. The
-    results are written into ``out``: either ``(p, m, v)`` themselves,
-    for an update in place, or three C-ordered arrays of p's shape and
-    dtype that overlap no input and no other output. With no ``out``
-    they go to new arrays and the inputs are not modified. An array of
-    more than ADAMW_BLOCK entries is updated in flat runs of that many,
-    each read whole before its results are written, so the float64
-    scratch stays bounded and an update in place reads no entry it has
-    already written.
+    v2 = beta2 v + ((1 - beta2) g) g, each rounded to p's dtype. With no
+    ``out`` the results go to new arrays and the inputs are not
+    modified. ``out`` may only be ``(p, m, v)`` themselves, C-ordered,
+    writeable and of p's dtype, for an update in place. An array of more
+    than ADAMW_BLOCK entries is updated in flat runs of that many, each
+    read whole before its results are written, so the float64 scratch
+    stays bounded and an update in place reads no entry it has already
+    written.
     """
     if not (p.shape == g.shape == m.shape == v.shape):
         raise ValueError("adamw_update needs same-shape p, g, m, v")
@@ -175,9 +174,11 @@ def adamw_update(p, g, m, v, t, lr, beta1, beta2, eps, wd, out=None):
         raise ValueError(f"step count must be >= 1, got {t}")
     if out is None:
         out = tuple(np.empty(p.shape, dtype=p.dtype) for _ in range(3))
-    else:
-        out = tuple(out)
-        _check_adamw_out(out, (p, g, m, v))
+    elif not (len(out) == 3 and all(
+            o is a and a.dtype == p.dtype and a.flags.c_contiguous
+            and a.flags.writeable for o, a in zip(out, (p, m, v)))):
+        raise ValueError("adamw_update's out must be None or (p, m, v) "
+                         "themselves, C-ordered, writeable and of p's dtype")
     if p.size <= ADAMW_BLOCK:
         _adamw_block(p, g, m, v, out, t, lr, beta1, beta2, eps, wd)
         return out
@@ -186,23 +187,6 @@ def adamw_update(p, g, m, v, t, lr, beta1, beta2, eps, wd, out=None):
         blk = [a[i:i + ADAMW_BLOCK] for a in flat]
         _adamw_block(*blk[:4], blk[4:], t, lr, beta1, beta2, eps, wd)
     return out
-
-
-def _check_adamw_out(out, inputs) -> None:
-    """Raise ValueError unless ``out`` suits adamw_update's inputs."""
-    p, _, m, v = inputs
-    if len(out) != 3 or any(
-            not isinstance(o, np.ndarray) or o.shape != p.shape
-            or o.dtype != p.dtype or not o.flags.c_contiguous
-            or not o.flags.writeable for o in out):
-        raise ValueError("adamw_update's out must be three writeable "
-                         "C-ordered arrays of p's shape and dtype")
-    if out[0] is p and out[1] is m and out[2] is v:
-        return
-    if any(np.may_share_memory(o, a) for i, o in enumerate(out)
-           for a in (*inputs, *out[:i])):
-        raise ValueError("adamw_update's out must be (p, m, v) or arrays "
-                         "that overlap no input and each other")
 
 
 def _adamw_block(p, g, m, v, out, t, lr, beta1, beta2, eps, wd) -> None:

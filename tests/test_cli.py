@@ -336,6 +336,19 @@ def test_eval_rejects_bad_fraction(workspace, tmp_path):
     assert code == 2
 
 
+def test_eval_linear_rejects_a_fraction(workspace, tmp_path, capsys):
+    code = main(["eval",
+                 "--checkpoint", str(workspace["run"] / "checkpoint.vclc"),
+                 "--data", str(workspace["data"]),
+                 "--protocol", "linear", "--fraction", "0.5",
+                 "--out", str(tmp_path / "p")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --fraction")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "p").exists()
+
+
 def test_eval_lowshot_fraction_leaving_no_row(workspace, tmp_path, capsys):
     code = main(["eval",
                  "--checkpoint", str(workspace["run"] / "checkpoint.vclc"),

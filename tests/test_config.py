@@ -86,6 +86,10 @@ def test_type_and_range_errors_name_their_path():
         parse_run_config({"data": {"seed": -2}})
     assert err.value.field == "data.seed"
     with pytest.raises(ConfigError) as err:
+        parse_run_config({"optim": {"weight_decay": -0.1}})
+    assert err.value.field == "optim.weight_decay"
+    assert "-0.1" in str(err.value)
+    with pytest.raises(ConfigError) as err:
         parse_run_config({"loss": {"tau": True}})
     assert err.value.field == "loss.tau"
     with pytest.raises(ConfigError) as err:

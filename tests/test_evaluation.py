@@ -9,11 +9,12 @@ from vcl import autograd, evaluation, kernels
 from vcl.autograd import (Tensor, _expit, add, matmul, mul, record, sub,
                           tmean)
 from vcl.datasets import GenConfig, LabeledDataset, generate_synthetic
-from vcl.evaluation import (FinetuneConfig, ProbeConfig, _bce_grad,
-                            _head_grads, linear_probe, low_shot_finetune,
-                            mean_attribute_accuracy, stratified_subsample,
-                            train_test_split)
-from vcl.model import EncoderConfig, encode, init_params, params_fingerprint
+from vcl.evaluation import (FinetuneConfig, ProbeConfig, ProbeResult,
+                            _bce_grad, _head_grads, linear_probe,
+                            low_shot_finetune, mean_attribute_accuracy,
+                            stratified_subsample, train_test_split)
+from vcl.model import (EncoderConfig, _glorot, encode, init_params,
+                       params_fingerprint)
 from vcl.trainer import adamw_step, init_optim_state
 
 
@@ -297,12 +298,19 @@ def _taped_head(h, w, b, targets, float32_gemm=False):
     return g, h.grad, w.grad, b.grad
 
 
-def _taped_head_grads(h, w, b, targets):
-    # _head_grads' contract, computed on the tape: the probe's float64
-    # copy of float32 features, or low-shot's float32 features
+def _taped_two_tensor_grads(h, w, b, targets):
+    """(g_w, g_b, g) on the tape: the probe's float64 copy of float32
+    features against the default matmul, or low-shot's float32 features
+    against float32_gemm."""
     g, _, g_w, g_b = _taped_head(h.astype(np.float32), w, b, targets,
                                  float32_gemm=h.dtype == np.float32)
     return g_w, g_b, g
+
+
+def _taped_head_grads(h, wb, targets):
+    # _head_grads' contract, computed on the tape
+    g_w, g_b, g = _taped_two_tensor_grads(h, wb[:-1], wb[-1], targets)
+    return np.concatenate((g_w, g_b[None])), g
 
 
 @pytest.mark.parametrize("rows,d,a", [(1638, 64, 8), (163, 64, 8),
@@ -313,15 +321,17 @@ def test_head_grads_are_bit_equal_to_the_taped_head(rows, d, a):
     w = (rng.standard_normal((d, a)) * 0.5).astype(np.float32)
     b = rng.standard_normal(a).astype(np.float32)
     y = rng.integers(0, 2, size=(rows, a)).astype(np.float32)
+    wb = np.concatenate((w, b[None]))
     # the probe's float64 copy of the features against the default
     # matmul, and low-shot's float32 features against float32_gemm
     for features in (h.astype(np.float64), h):
         f32 = features.dtype == np.float32
         taped = _taped_head(h, w, b, y, float32_gemm=f32)
-        g_w, g_b, g = _head_grads(features, w, b, y)
+        g_wb, g = _head_grads(features, wb, y)
+        assert g_wb.shape == (d + 1, a)
         # the encoder cotangent low-shot seeds its tape with
-        g_h = g @ w.T if f32 else autograd._mm(g, w.T)
-        got = (g, g_h, g_w, g_b)
+        g_h = g @ wb[:-1].T if f32 else autograd._mm(g, wb[:-1].T)
+        got = (g, g_h, g_wb[:-1], g_wb[-1])
         for mine, want in zip(got, taped):
             assert mine.dtype == want.dtype == np.float32
             assert mine.tobytes() == want.tobytes()
@@ -333,15 +343,31 @@ def test_protocols_equal_runs_on_the_taped_head(monkeypatch):
     assert _run_protocols(monkeypatch) == closed_form
 
 
+def _counting_adamw_update(monkeypatch):
+    """A list that gains one entry per kernels.adamw_update call."""
+    calls = []
+    real = kernels.adamw_update
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(kernels, "adamw_update", counted)
+    return calls
+
+
 def _two_tensor_fit(h64, targets, head, cfg):
-    """The probe head trained as two tensors, one AdamW update each."""
-    state = init_optim_state(head, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    """The probe head trained as two tensors, weights and bias sliced out
+    of [W; b], one AdamW update each, on the taped head's gradients."""
+    wt = {"probe.w": Tensor(head.data[:-1].copy()),
+          "probe.b": Tensor(head.data[-1].copy())}
+    state = init_optim_state(wt, lr=cfg.lr, weight_decay=cfg.weight_decay)
     for _ in range(cfg.steps):
-        g_w, g_b, _ = _head_grads(h64, head["probe.w"].data,
-                                  head["probe.b"].data, targets)
-        head, state = adamw_step(head, {"probe.w": g_w, "probe.b": g_b},
-                                 state)
-    return head
+        g_w, g_b, _ = _taped_two_tensor_grads(h64, wt["probe.w"].data,
+                                              wt["probe.b"].data, targets)
+        wt, state = adamw_step(wt, {"probe.w": g_w, "probe.b": g_b}, state)
+    return Tensor(np.concatenate((wt["probe.w"].data,
+                                  wt["probe.b"].data[None])))
 
 
 @pytest.mark.parametrize("d,a,wd", [(64, 8, 0.0), (7, 3, 0.05), (1, 1, 0.0)])
@@ -351,28 +377,18 @@ def test_flat_probe_head_equals_two_tensor_training(d, a, wd, monkeypatch):
         np.float64)
     y = rng.integers(0, 2, size=(163, a)).astype(np.float32)
     cfg = ProbeConfig(steps=40, lr=0.01, weight_decay=wd)
-    calls = []
-    real = kernels.adamw_update
-
-    def counted(*args, **kw):
-        calls.append(1)
-        return real(*args, **kw)
-
-    monkeypatch.setattr(kernels, "adamw_update", counted)
-    got = evaluation._fit_head(
-        h64, y, evaluation._new_head(np.random.default_rng(1), d, a), cfg)
+    calls = _counting_adamw_update(monkeypatch)
+    head = evaluation._new_head(np.random.default_rng(1), d, a)
+    got = evaluation._fit_head(h64, y, head, cfg)
     assert len(calls) == cfg.steps  # one update per step, not two
     monkeypatch.undo()
     want = _two_tensor_fit(
         h64, y, evaluation._new_head(np.random.default_rng(1), d, a), cfg)
-    assert set(got) == {"probe.w", "probe.b"}
-    for name in got:
-        assert got[name].data.shape == want[name].data.shape
-        assert got[name].data.dtype == np.float32
-        assert got[name].data.tobytes() == want[name].data.tobytes()
-    # weights and bias are views of one flat tensor
-    base = got["probe.w"].data.base
-    assert base is not None and got["probe.b"].data.base is base
+    # one [W; b] tensor, trained in place
+    assert got is head
+    assert got.data.shape == want.data.shape == (d + 1, a)
+    assert got.data.dtype == np.float32
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_linear_probe_equals_two_tensor_head(monkeypatch):
@@ -381,6 +397,81 @@ def test_linear_probe_equals_two_tensor_head(monkeypatch):
     flat = linear_probe(params, train_ds, test_ds, cfg)
     monkeypatch.setattr(evaluation, "_fit_head", _two_tensor_fit)
     assert linear_probe(params, train_ds, test_ds, cfg) == flat
+
+
+def _two_tensor_finetune(params, fraction, train_ds, test_ds, cfg):
+    """low_shot_finetune with its head as two tensors, probe.w and
+    probe.b, one AdamW update each, on the taped head's gradients: the
+    result and the trained parameters."""
+    rng = np.random.default_rng(cfg.seed)
+    idx = stratified_subsample(train_ds.labels, fraction, rng)
+    inputs = train_ds.inputs[idx]
+    targets = train_ds.labels[idx].astype(np.float32)
+    d, a = params["enc_out.w"].data.shape[1], train_ds.labels.shape[1]
+    trainable = {k: Tensor(params[k].data.copy(), requires_grad=True)
+                 for k in params if k.startswith("enc")}
+    trainable["probe.w"] = Tensor(_glorot(rng, d, a), requires_grad=True)
+    trainable["probe.b"] = Tensor(np.zeros(a, dtype=np.float32),
+                                  requires_grad=True)
+    state = init_optim_state(trainable, lr=cfg.lr,
+                             weight_decay=cfg.weight_decay)
+    for _ in range(cfg.steps):
+        h = encode(trainable, inputs, float32_gemm=True)
+        w = trainable["probe.w"].data
+        g_w, g_b, g = _taped_two_tensor_grads(
+            h.data, w, trainable["probe.b"].data, targets)
+        h.backward(g @ w.T)
+        adamw_step(trainable, {
+            **{k: p.grad for k, p in trainable.items() if p.grad is not None},
+            "probe.w": g_w, "probe.b": g_b}, state)
+    feats = evaluation._features(trainable, test_ds.inputs, float32_gemm=True)
+    per_attr, mean_acc = mean_attribute_accuracy(
+        _expit(feats @ trainable["probe.w"].data + trainable["probe.b"].data),
+        test_ds.labels)
+    return ProbeResult(protocol="low_shot", fraction=float(fraction),
+                       seed=cfg.seed, per_attribute=per_attr,
+                       mean_accuracy=mean_acc, train_size=len(train_ds),
+                       test_size=len(test_ds),
+                       subsample_size=int(idx.size)), trainable
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.01])
+def test_low_shot_head_equals_two_tensor_finetune(wd, monkeypatch):
+    params, train_ds, test_ds = _small_encoder_setup()
+    cfg = FinetuneConfig(steps=8, lr=0.01, weight_decay=wd, seed=2)
+    trained = {}
+    step = evaluation.adamw_step
+
+    def recording_step(p, grads, state):
+        trained.update(p)
+        return step(p, grads, state)
+
+    monkeypatch.setattr(evaluation, "adamw_step", recording_step)
+    got = low_shot_finetune(params, 0.5, train_ds, test_ds, cfg)
+    monkeypatch.undo()
+    want, want_params = _two_tensor_finetune(params, 0.5, train_ds, test_ds,
+                                             cfg)
+    assert got == want
+    assert set(trained) == {k for k in want_params
+                            if k.startswith("enc")} | {"probe"}
+    for k, p in trained.items():
+        if k != "probe":
+            assert p.data.tobytes() == want_params[k].data.tobytes(), k
+    wb = trained["probe"].data
+    assert wb.shape == (params["enc_out.w"].data.shape[1] + 1,
+                        train_ds.labels.shape[1])
+    assert wb[:-1].tobytes() == want_params["probe.w"].data.tobytes()
+    assert wb[-1].tobytes() == want_params["probe.b"].data.tobytes()
+
+
+def test_low_shot_updates_the_head_as_one_tensor(monkeypatch):
+    # the default 768-256-256-64 encoder: 6 tensors, plus the head's one
+    _, train_ds, test_ds = _small_encoder_setup()
+    params = init_params(EncoderConfig(input_shape=(3, 16, 16)), 32, seed=0)
+    calls = _counting_adamw_update(monkeypatch)
+    low_shot_finetune(params, 0.5, train_ds, test_ds, FinetuneConfig(steps=2))
+    assert len([k for k in params if k.startswith("enc")]) == 6
+    assert len(calls) == 2 * 7
 
 
 def test_protocols_leave_no_tape_for_the_cyclic_collector():
