@@ -16,9 +16,11 @@ head's own gradient [h^T g; sum(g)] with the same products and sums the
 tape's matmul and add nodes evaluate, so the heads train on the same
 bits as a taped head would. The probe casts its frozen features to
 float64 once, so its products accumulate in float64 as the tape's do by
-default, and records no tape at all. Low-shot multiplies in float32
-throughout: it records only the encoder, with ``float32_gemm``, and
-seeds that tape with the cotangent g W^T of its output h.
+default, and records no tape at all. Low-shot works in float32
+throughout: it records only the encoder, with ``float32_gemm``, seeds
+that tape with the cotangent g W^T of its output h, and updates with
+``float32_update``. The probe's AdamW updates, like pretrain's, work in
+float64.
 """
 
 from __future__ import annotations
@@ -266,7 +268,7 @@ def low_shot_finetune(params: dict[str, Tensor], fraction: float,
     The caller's params are never touched; training happens on copies.
     fraction = 1.0 is the sanity upper bound, fine-tuning on the full
     training split. Every product, the final test encode included, is a
-    float32 GEMM.
+    float32 GEMM, and every AdamW update runs in float32.
     """
     _check_split(train_ds, test_ds)
     rng = np.random.default_rng(cfg.seed)
@@ -288,7 +290,7 @@ def low_shot_finetune(params: dict[str, Tensor], fraction: float,
         del h  # the spent tape goes before AdamW runs
         adamw_step(trainable, {
             **{k: p.grad for k, p in trainable.items() if p.grad is not None},
-            "probe": g_wb}, state)
+            "probe": g_wb}, state, float32_update=True)
 
     per_attr, mean_acc = _score(
         _features(trainable, test_ds.inputs, float32_gemm=True), wb, test_ds)

@@ -4,7 +4,8 @@ The kernels of a training step: the pairwise squared-distance matrix
 and its backward pass, the batched crop and resize of the view
 augmentation, the fused AdamW parameter update, and the seeding of one
 keyed random stream per view or sample. The numeric kernels accumulate
-in float64 and return the storage dtype. ``keyed_rngs`` runs numpy's
+in float64 and return the storage dtype; only AdamW with
+``float32_update`` works in float32. ``keyed_rngs`` runs numpy's
 SeedSequence hash for a whole batch of keys at once; its generators are
 the ones ``np.random.default_rng`` would build, draw for draw.
 """
@@ -154,24 +155,33 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return crop_resize(src[None], [[0, 0, h, w]], out_h, out_w)[0]
 
 
-def adamw_update(p, g, m, v, t, lr, beta1, beta2, eps, wd, out=None):
+def adamw_update(p, g, m, v, t, lr, beta1, beta2, eps, wd, out=None,
+                 float32_update=False):
     """One decoupled-weight-decay Adam step; returns (p2, m2, v2).
 
     p2 = p - lr * mhat / (sqrt(vhat) + eps) - lr * wd * p, evaluated in
     float64 in that association, with m2 = beta1 m + (1 - beta1) g and
-    v2 = beta2 v + ((1 - beta2) g) g, each rounded to p's dtype. With no
+    v2 = beta2 v + ((1 - beta2) g) g, each rounded to p's dtype. With
+    ``float32_update`` the same operations run in float32 on inputs and
+    constants rounded to float32; p must then be float32, and eps must
+    not round to 0, which would make a zero-gradient entry 0/0. With no
     ``out`` the results go to new arrays and the inputs are not
     modified. ``out`` may only be ``(p, m, v)`` themselves, C-ordered,
     writeable and of p's dtype, for an update in place. An array of more
     than ADAMW_BLOCK entries is updated in flat runs of that many, each
-    read whole before its results are written, so the float64 scratch
-    stays bounded and an update in place reads no entry it has already
+    read whole before its results are written, so the scratch stays
+    bounded and an update in place reads no entry it has already
     written.
     """
     if not (p.shape == g.shape == m.shape == v.shape):
         raise ValueError("adamw_update needs same-shape p, g, m, v")
     if t < 1:
         raise ValueError(f"step count must be >= 1, got {t}")
+    if float32_update and p.dtype != np.float32:
+        raise ValueError(f"a float32 update needs float32 p, got {p.dtype}")
+    if float32_update and np.float32(eps) == 0:
+        raise ValueError(f"eps {eps} rounds to 0 in float32")
+    work = np.float32 if float32_update else np.float64
     if out is None:
         out = tuple(np.empty(p.shape, dtype=p.dtype) for _ in range(3))
     elif not (len(out) == 3 and all(
@@ -180,36 +190,38 @@ def adamw_update(p, g, m, v, t, lr, beta1, beta2, eps, wd, out=None):
         raise ValueError("adamw_update's out must be None or (p, m, v) "
                          "themselves, C-ordered, writeable and of p's dtype")
     if p.size <= ADAMW_BLOCK:
-        _adamw_block(p, g, m, v, out, t, lr, beta1, beta2, eps, wd)
+        _adamw_block(p, g, m, v, out, t, lr, beta1, beta2, eps, wd, work)
         return out
     flat = [a.reshape(-1) for a in (p, g, m, v, *out)]
     for i in range(0, p.size, ADAMW_BLOCK):
         blk = [a[i:i + ADAMW_BLOCK] for a in flat]
-        _adamw_block(*blk[:4], blk[4:], t, lr, beta1, beta2, eps, wd)
+        _adamw_block(*blk[:4], blk[4:], t, lr, beta1, beta2, eps, wd, work)
     return out
 
 
-def _adamw_block(p, g, m, v, out, t, lr, beta1, beta2, eps, wd) -> None:
+def _adamw_block(p, g, m, v, out, t, lr, beta1, beta2, eps, wd,
+                 work) -> None:
     """adamw_update on one run of entries: every input is read, with the
-    float64 work in place in five buffers, before ``out`` is written."""
-    g64 = g.astype(np.float64)
-    tmp = np.multiply(g64, 1.0 - beta1)
-    m2 = np.multiply(m, beta1, dtype=np.float64)
+    work in place in five buffers of dtype ``work``, before ``out`` is
+    written. The Python-float constants take the buffers' dtype."""
+    gw = g.astype(work)
+    tmp = np.multiply(gw, 1.0 - beta1)
+    m2 = np.multiply(m, beta1, dtype=work)
     m2 += tmp
-    np.multiply(g64, 1.0 - beta2, out=tmp)
-    tmp *= g64
-    v2 = np.multiply(v, beta2, dtype=np.float64)
+    np.multiply(gw, 1.0 - beta2, out=tmp)
+    tmp *= gw
+    v2 = np.multiply(v, beta2, dtype=work)
     v2 += tmp
-    # tmp = sqrt(vhat) + eps; g64 = lr * mhat / tmp
+    # tmp = sqrt(vhat) + eps; gw = lr * mhat / tmp
     np.divide(v2, 1.0 - beta2 ** t, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += eps
-    np.divide(m2, 1.0 - beta1 ** t, out=g64)
-    g64 *= lr
-    g64 /= tmp
-    p2 = p.astype(np.float64)
+    np.divide(m2, 1.0 - beta1 ** t, out=gw)
+    gw *= lr
+    gw /= tmp
+    p2 = p.astype(work)
     np.multiply(p2, lr * wd, out=tmp)
-    p2 -= g64
+    p2 -= gw
     p2 -= tmp
     for o, r in zip(out, (p2, m2, v2)):
         o[...] = r

@@ -103,15 +103,17 @@ def init_optim_state(params: dict[str, Tensor], **optim) -> OptimState:
 
 
 def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-               state: OptimState,
-               lr: float | None = None) -> tuple[dict[str, Tensor], OptimState]:
+               state: OptimState, lr: float | None = None,
+               float32_update: bool = False
+               ) -> tuple[dict[str, Tensor], OptimState]:
     """One decoupled-weight-decay Adam update over a named parameter dict.
 
     In place: each parameter's data and its moments in ``state`` are
     overwritten, ``state.t`` goes up by one, and the same ``params`` and
     ``state`` are returned. Every parameter's ``.grad`` is cleared, as
     the next backward would add into it. ``lr`` overrides
-    ``state.optim.lr`` for this step. The step count is shared across
+    ``state.optim.lr`` for this step. ``float32_update`` goes to each
+    ``kernels.adamw_update``. The step count is shared across
     parameters, as all of them update on every call.
     """
     if set(grads) != set(params):
@@ -123,7 +125,8 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         m, v = state.m[name], state.v[name]
         kernels.adamw_update(p.data, grads[name], m, v, t, eff_lr,
                              o.beta1, o.beta2, o.eps, o.weight_decay,
-                             out=(p.data, m, v))
+                             out=(p.data, m, v),
+                             float32_update=float32_update)
         p.grad = None
     state.t = t
     return params, state

@@ -15,7 +15,7 @@ from vcl.evaluation import (FinetuneConfig, ProbeConfig, ProbeResult,
                             stratified_subsample, train_test_split)
 from vcl.model import (EncoderConfig, _glorot, encode, init_params,
                        params_fingerprint)
-from vcl.trainer import adamw_step, init_optim_state
+from vcl.trainer import adamw_step, init_optim_state, pretrain
 
 
 def _identity_setup(m=400, a=4, margin=0.5):
@@ -138,9 +138,9 @@ def test_low_shot_frees_the_spent_tape_before_adamw(monkeypatch, tape_refs):
     alive_in_adamw = []
     step = evaluation.adamw_step
 
-    def checking_step(*args):
+    def checking_step(*args, **kwargs):
         alive_in_adamw.append(sum(r() is not None for r in tapes[-1]))
-        return step(*args)
+        return step(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "encode", keeping_encode)
     monkeypatch.setattr(evaluation, "adamw_step", checking_step)
@@ -221,8 +221,8 @@ def _run_protocols(monkeypatch):
     last = {}
     step = evaluation.adamw_step
 
-    def recording_step(p, grads, state):
-        out = step(p, grads, state)
+    def recording_step(p, grads, state, **kwargs):
+        out = step(p, grads, state, **kwargs)
         last["params"] = out[0]
         return out
     monkeypatch.setattr(evaluation, "adamw_step", recording_step)
@@ -344,12 +344,13 @@ def test_protocols_equal_runs_on_the_taped_head(monkeypatch):
 
 
 def _counting_adamw_update(monkeypatch):
-    """A list that gains one entry per kernels.adamw_update call."""
+    """A list that gains one entry per kernels.adamw_update call: the
+    float32_update it was given, False when none."""
     calls = []
     real = kernels.adamw_update
 
     def counted(*args, **kw):
-        calls.append(1)
+        calls.append(kw.get("float32_update", False))
         return real(*args, **kw)
 
     monkeypatch.setattr(kernels, "adamw_update", counted)
@@ -401,8 +402,8 @@ def test_linear_probe_equals_two_tensor_head(monkeypatch):
 
 def _two_tensor_finetune(params, fraction, train_ds, test_ds, cfg):
     """low_shot_finetune with its head as two tensors, probe.w and
-    probe.b, one AdamW update each, on the taped head's gradients: the
-    result and the trained parameters."""
+    probe.b, one float32 AdamW update each, on the taped head's
+    gradients: the result and the trained parameters."""
     rng = np.random.default_rng(cfg.seed)
     idx = stratified_subsample(train_ds.labels, fraction, rng)
     inputs = train_ds.inputs[idx]
@@ -423,7 +424,7 @@ def _two_tensor_finetune(params, fraction, train_ds, test_ds, cfg):
         h.backward(g @ w.T)
         adamw_step(trainable, {
             **{k: p.grad for k, p in trainable.items() if p.grad is not None},
-            "probe.w": g_w, "probe.b": g_b}, state)
+            "probe.w": g_w, "probe.b": g_b}, state, float32_update=True)
     feats = evaluation._features(trainable, test_ds.inputs, float32_gemm=True)
     per_attr, mean_acc = mean_attribute_accuracy(
         _expit(feats @ trainable["probe.w"].data + trainable["probe.b"].data),
@@ -442,9 +443,9 @@ def test_low_shot_head_equals_two_tensor_finetune(wd, monkeypatch):
     trained = {}
     step = evaluation.adamw_step
 
-    def recording_step(p, grads, state):
+    def recording_step(p, grads, state, **kwargs):
         trained.update(p)
-        return step(p, grads, state)
+        return step(p, grads, state, **kwargs)
 
     monkeypatch.setattr(evaluation, "adamw_step", recording_step)
     got = low_shot_finetune(params, 0.5, train_ds, test_ds, cfg)
@@ -472,6 +473,20 @@ def test_low_shot_updates_the_head_as_one_tensor(monkeypatch):
     low_shot_finetune(params, 0.5, train_ds, test_ds, FinetuneConfig(steps=2))
     assert len([k for k in params if k.startswith("enc")]) == 6
     assert len(calls) == 2 * 7
+
+
+def test_only_low_shot_updates_in_float32(monkeypatch, tiny_cfg):
+    flags = _counting_adamw_update(monkeypatch)
+    result = pretrain(tiny_cfg(steps=2))
+    assert len(flags) == 2 * len(result.params)
+    params, train_ds, test_ds = _small_encoder_setup()
+    linear_probe(params, train_ds, test_ds, ProbeConfig(steps=3))
+    assert len(flags) == 2 * len(result.params) + 3
+    assert not any(flags)  # pretrain and the probe update in float64
+    flags.clear()
+    params = init_params(EncoderConfig(input_shape=(3, 16, 16)), 32, seed=0)
+    low_shot_finetune(params, 0.5, train_ds, test_ds, FinetuneConfig(steps=3))
+    assert flags == [True] * 3 * 7
 
 
 def test_protocols_leave_no_tape_for_the_cyclic_collector():

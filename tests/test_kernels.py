@@ -187,15 +187,17 @@ def test_adamw_update_zero_grad_only_decays():
     assert abs(p2[0] - 2.0 * (1.0 - 1e-2 * 0.1)) < 1e-15
 
 
-def _adamw_out_of_place(p, g, m, v, t, lr, beta1, beta2, eps, wd):
-    """The update as whole-array expressions, one temporary per operation."""
-    p64 = p.astype(np.float64)
-    g64 = g.astype(np.float64)
-    m2 = beta1 * m.astype(np.float64) + (1.0 - beta1) * g64
-    v2 = beta2 * v.astype(np.float64) + (1.0 - beta2) * g64 * g64
+def _adamw_out_of_place(p, g, m, v, t, lr, beta1, beta2, eps, wd,
+                        work=np.float64):
+    """The update as whole-array expressions, one temporary per
+    operation, in dtype ``work``."""
+    pw = p.astype(work)
+    gw = g.astype(work)
+    m2 = beta1 * m.astype(work) + (1.0 - beta1) * gw
+    v2 = beta2 * v.astype(work) + (1.0 - beta2) * gw * gw
     mhat = m2 / (1.0 - beta1 ** t)
     vhat = v2 / (1.0 - beta2 ** t)
-    p2 = p64 - lr * mhat / (np.sqrt(vhat) + eps) - lr * wd * p64
+    p2 = pw - lr * mhat / (np.sqrt(vhat) + eps) - lr * wd * pw
     return p2.astype(p.dtype), m2.astype(p.dtype), v2.astype(p.dtype)
 
 
@@ -208,18 +210,25 @@ B = kernels.ADAMW_BLOCK
 HYPER = (3e-3, 0.9, 0.999, 1e-8, 0.05)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_adamw_update_is_bit_equal_to_out_of_place_form(dtype):
-    rng = np.random.default_rng(6)
-    # the model's shapes, then sizes around one block and one of 24 blocks
-    for shape in MODEL_SHAPES + [(1,), (B - 1,), (B,), (B + 1,), (196608,)]:
+def _adamw_cases(dtype, shapes, seed=6):
+    """(p, g, m, v) per shape, with signed zeros in the gradient and in
+    the moments they meet, and zero second moments."""
+    rng = np.random.default_rng(seed)
+    for shape in shapes:
         p, g, m = (rng.standard_normal(shape).astype(dtype) for _ in range(3))
         v = np.abs(rng.standard_normal(shape)).astype(dtype) * 1e-3
-        # signed zeros in the gradient, and in the moments they meet
         g.flat[::7] = -0.0
         g.flat[3::7] = 0.0
         m.flat[::14] = -0.0
         v.flat[::21] = 0.0
+        yield p, g, m, v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_update_is_bit_equal_to_out_of_place_form(dtype):
+    # the model's shapes, then sizes around one block and one of 24 blocks
+    for p, g, m, v in _adamw_cases(dtype, MODEL_SHAPES + [
+            (1,), (B - 1,), (B,), (B + 1,), (196608,)]):
         before = [a.copy() for a in (p, g, m, v)]
         for t in (1, 2, 500):
             want = _adamw_out_of_place(p, g, m, v, t, *HYPER)
@@ -235,6 +244,79 @@ def test_adamw_update_is_bit_equal_to_out_of_place_form(dtype):
                     assert x.tobytes() == y.tobytes()
         for a, b in zip((p, g, m, v), before):
             assert a.tobytes() == b.tobytes()
+
+
+# float32's unit roundoff, and its smallest normal number: below it the
+# roundings are absolute, at most half of 2^-149 each
+U32 = 2.0**-24
+TINY32 = 2.0**-126
+
+
+def test_float32_adamw_update_is_within_its_bound():
+    """Each float32 rounding is within U32 of its exact value, relative.
+    Summing them over the operations, with the rounding of the float32
+    constants and of the float64 reference, bounds each entry against
+    the float64 update. With M = beta1 |m| + (1 - beta1) |g| and
+    V = beta2 v + (1 - beta2) g^2:
+
+        m2   4 U32 M          2 per term, 1 for the sum, 1 reference
+        v2   5 U32 V          3 per term at most, 1 for the sum, 1 reference
+        p2   20 U32 (|p| + A + D)
+
+    where A = lr M / (1 - beta1^t) / (sqrt(V / (1 - beta2^t)) + eps) is
+    the update with its numerator's terms taken in absolute value and
+    D = lr wd |p| the decay: 14 for A (mhat 5, the denominator 6, lr 2,
+    the division 1), 2 for D, 3 for the two subtractions and the
+    reference, and one to spare. Each bound adds TINY32 for results
+    near underflow.
+    """
+    lr, beta1, beta2, eps, wd = HYPER
+    for p, g, m, v in _adamw_cases(np.float32, MODEL_SHAPES
+                                   + [(1,), (B - 1,), (B,), (B + 1,)]):
+        before = [a.copy() for a in (p, g, m, v)]
+        p64, g64, m64, v64 = (a.astype(np.float64) for a in (p, g, m, v))
+        big_m = beta1 * np.abs(m64) + (1.0 - beta1) * np.abs(g64)
+        big_v = beta2 * v64 + (1.0 - beta2) * g64 * g64
+        for t in (1, 2, 500):
+            ref = _adamw_out_of_place(p, g, m, v, t, *HYPER)
+            big_a = (lr * big_m / (1.0 - beta1 ** t)
+                     / (np.sqrt(big_v / (1.0 - beta2 ** t)) + eps))
+            bounds = (20 * U32 * (np.abs(p64) + big_a + lr * wd * np.abs(p64)),
+                      4 * U32 * big_m, 5 * U32 * big_v)
+            own = tuple(a.copy() for a in (p, m, v))
+            forms = [kernels.adamw_update(p, g, m, v, t, *HYPER,
+                                          float32_update=True),
+                     kernels.adamw_update(own[0], g, own[1], own[2], t,
+                                          *HYPER, out=own,
+                                          float32_update=True)]
+            # one op sequence: the whole-array form, in float32
+            same = _adamw_out_of_place(p, g, m, v, t, *HYPER,
+                                       work=np.float32)
+            for form in forms:
+                for x, r, bound, y in zip(form, ref, bounds, same):
+                    assert x.dtype == np.float32
+                    err = np.abs(x.astype(np.float64) - r)
+                    assert np.all(err <= bound + TINY32)
+                    assert x.tobytes() == y.tobytes()
+        for a, b in zip((p, g, m, v), before):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_float32_adamw_update_refuses_misuse():
+    p, g, m, v = (np.zeros(4, dtype=np.float32) for _ in range(4))
+    # float64 parameters would lose precision without a word
+    p64, m64, v64 = (np.zeros(4) for _ in range(3))
+    with pytest.raises(ValueError, match="float32 p"):
+        kernels.adamw_update(p64, g, m64, v64, 1, *HYPER, float32_update=True)
+    # an eps of 0 in float32 would make a zero-gradient entry 0/0
+    lr, beta1, beta2, _, wd = HYPER
+    with pytest.raises(ValueError, match="rounds to 0"):
+        kernels.adamw_update(p, g, m, v, 1, lr, beta1, beta2, 1e-46, wd,
+                             float32_update=True)
+    # the smallest float32 eps still gives finite results
+    p2, _, _ = kernels.adamw_update(p, g, m, v, 1, lr, beta1, beta2, 1e-45,
+                                    wd, float32_update=True)
+    assert np.all(p2 == 0)
 
 
 def test_adamw_update_rejects_an_unsafe_out():
@@ -378,3 +460,11 @@ def test_adamw_update_scratch_is_bounded(traced_peak):
     _, peak = traced_peak(lambda: kernels.adamw_update(
         p, g, m, v, 3, 1e-3, 0.9, 0.999, 1e-8, 0.01, out=(p, m, v)))
     assert peak <= 2**20
+    # float32 work takes half the scratch
+    outs, peak = traced_peak(lambda: kernels.adamw_update(
+        p, g, m, v, 3, 1e-3, 0.9, 0.999, 1e-8, 0.01, float32_update=True))
+    assert peak <= sum(o.nbytes for o in outs) + 2**19
+    _, peak = traced_peak(lambda: kernels.adamw_update(
+        p, g, m, v, 3, 1e-3, 0.9, 0.999, 1e-8, 0.01, out=(p, m, v),
+        float32_update=True))
+    assert peak <= 2**19
