@@ -10,8 +10,13 @@ each side runs its own benchmark and program code. The side that runs
 first alternates from pair to pair, so a slow phase of the host does not
 always fall on one side. Runs go one at a time.
 
-The output holds every run's metrics and the ``env`` line it printed,
-and, per workload and end-to-end metric (the ``end_to_end`` list of the
+The output holds every run's metrics, the ``env`` line it printed and
+the code its checkout held: the ``git rev-parse HEAD`` commit, whether
+``git status --porcelain`` lists anything, and the sha256 of
+``git diff HEAD`` (all None when the root is not a git work tree's top
+level). perfbench's ``env`` line gives a commit id even for a tree with
+uncommitted changes; the dirty flag and diff hash tell those apart.
+Per workload and end-to-end metric (the ``end_to_end`` list of the
 change's BENCHMARK.json), each side's median and quartiles, the number
 of pairs the change won (ties count for neither side), the change's
 median relative to the parent's, whether a gain is shown (the change
@@ -27,6 +32,7 @@ finished.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -38,8 +44,29 @@ import numpy as np
 SIDES = ("parent", "change")
 
 
+def _git(root: Path, *args: str) -> bytes | None:
+    proc = subprocess.run(["git", *args], cwd=root, capture_output=True)
+    return proc.stdout if proc.returncode == 0 else None
+
+
+def code_state(root: Path) -> dict:
+    """The commit ``root`` has checked out, whether its tree differs from
+    it, and the sha256 of ``git diff HEAD``; None each outside git."""
+    top = _git(root, "rev-parse", "--show-toplevel")
+    head = _git(root, "rev-parse", "HEAD")
+    if (top is None or head is None
+            or Path(top.decode().strip()).resolve() != root.resolve()):
+        return {"commit": None, "dirty": None, "diff_sha256": None}
+    diff = _git(root, "diff", "HEAD")
+    return {"commit": head.decode().strip(),
+            "dirty": bool(_git(root, "status", "--porcelain")),
+            "diff_sha256": hashlib.sha256(diff).hexdigest()}
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced perfbench run in ``root``; its result and env."""
+    """One untraced perfbench run in ``root``; its result, env and the
+    code it ran."""
+    code = code_state(root)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True)
@@ -50,7 +77,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     result = json.loads(lines[-1])
     env = next((json.loads(line[4:]) for line in lines
                 if line.startswith("env ")), None)
-    return {"seed": seed, "env": env, "correct": result["correct"],
+    return {"seed": seed, "env": env, "code": code,
+            "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
 

@@ -1,11 +1,11 @@
 """Hot numeric kernels, in numpy.
 
-The kernels of a training step: the pairwise squared-distance matrix
-and its backward pass, the batched crop and resize of the view
-augmentation, the fused AdamW parameter update, and the seeding of one
-keyed random stream per view or sample. The numeric kernels accumulate
-in float64 and return the storage dtype; only AdamW with
-``float32_update`` works in float32. ``keyed_rngs`` runs numpy's
+The kernels of a training step: the pairwise squared-distance matrix and
+its backward pass, the batched crop and resize of the view augmentation,
+the fused AdamW parameter update, and the seeding of one keyed random
+stream per view or sample. The numeric kernels accumulate in float64 and
+return the storage dtype; only AdamW with ``float32_update`` works in
+float32, straight in its outputs. ``keyed_rngs`` runs numpy's
 SeedSequence hash for a whole batch of keys at once; its generators are
 the ones ``np.random.default_rng`` would build, draw for draw.
 """
@@ -22,8 +22,9 @@ from numpy.random.bit_generator import ISeedSequence
 SQDIST_BLOCK = 8
 # side of the square tiles in which pairwise_sqdist_vjp symmetrizes
 SYM_TILE = 128
-# entries updated per pass of adamw_update
+# entries per float64 pass of adamw_update, and its five buffers' bytes
 ADAMW_BLOCK = 8192
+ADAMW_SCRATCH = 5 * 8 * ADAMW_BLOCK
 
 
 def pairwise_sqdist(z: np.ndarray) -> np.ndarray:
@@ -167,11 +168,10 @@ def adamw_update(p, g, m, v, t, lr, beta1, beta2, eps, wd, out=None,
     not round to 0, which would make a zero-gradient entry 0/0. With no
     ``out`` the results go to new arrays and the inputs are not
     modified. ``out`` may only be ``(p, m, v)`` themselves, C-ordered,
-    writeable and of p's dtype, for an update in place. An array of more
-    than ADAMW_BLOCK entries is updated in flat runs of that many, each
-    read whole before its results are written, so the scratch stays
-    bounded and an update in place reads no entry it has already
-    written.
+    writeable and of p's dtype, for an update in place. Arrays go in flat
+    runs whose scratch fills ADAMW_SCRATCH bytes: ADAMW_BLOCK entries in
+    five float64 buffers, or in two when p has the work dtype (40960 for
+    float32). No bits depend on the run; no entry is read once written.
     """
     if not (p.shape == g.shape == m.shape == v.shape):
         raise ValueError("adamw_update needs same-shape p, g, m, v")
@@ -189,28 +189,33 @@ def adamw_update(p, g, m, v, t, lr, beta1, beta2, eps, wd, out=None,
             and a.flags.writeable for o, a in zip(out, (p, m, v)))):
         raise ValueError("adamw_update's out must be None or (p, m, v) "
                          "themselves, C-ordered, writeable and of p's dtype")
-    if p.size <= ADAMW_BLOCK:
+    block = ADAMW_SCRATCH // (work().itemsize * (2 if p.dtype == work else 5))
+    if p.size <= block:
         _adamw_block(p, g, m, v, out, t, lr, beta1, beta2, eps, wd, work)
         return out
     flat = [a.reshape(-1) for a in (p, g, m, v, *out)]
-    for i in range(0, p.size, ADAMW_BLOCK):
-        blk = [a[i:i + ADAMW_BLOCK] for a in flat]
+    for i in range(0, p.size, block):
+        blk = [a[i:i + block] for a in flat]
         _adamw_block(*blk[:4], blk[4:], t, lr, beta1, beta2, eps, wd, work)
     return out
 
 
 def _adamw_block(p, g, m, v, out, t, lr, beta1, beta2, eps, wd,
                  work) -> None:
-    """adamw_update on one run of entries: every input is read, with the
-    work in place in five buffers of dtype ``work``, before ``out`` is
-    written. The Python-float constants take the buffers' dtype."""
-    gw = g.astype(work)
-    tmp = np.multiply(gw, 1.0 - beta1)
-    m2 = np.multiply(m, beta1, dtype=work)
+    """adamw_update on one run of entries, in dtype ``work``, which the
+    Python-float constants take. If p has that dtype, m2, v2 and p2 are
+    computed in ``out``, with two scratch buffers (gw, tmp); else in five
+    new ones, with copies of g and p, and rounded into ``out`` at the end."""
+    direct = p.dtype == work
+    p2, m2, v2 = out if direct else (None, None, None)
+    gin = g.astype(work, copy=not direct)
+    gw = np.empty(p.shape, work) if direct else gin
+    tmp = np.multiply(gin, 1.0 - beta1)
+    m2 = np.multiply(m, beta1, out=m2, dtype=work)
     m2 += tmp
-    np.multiply(gw, 1.0 - beta2, out=tmp)
-    tmp *= gw
-    v2 = np.multiply(v, beta2, dtype=work)
+    np.multiply(gin, 1.0 - beta2, out=tmp)
+    tmp *= gin
+    v2 = np.multiply(v, beta2, out=v2, dtype=work)
     v2 += tmp
     # tmp = sqrt(vhat) + eps; gw = lr * mhat / tmp
     np.divide(v2, 1.0 - beta2 ** t, out=tmp)
@@ -219,12 +224,14 @@ def _adamw_block(p, g, m, v, out, t, lr, beta1, beta2, eps, wd,
     np.divide(m2, 1.0 - beta1 ** t, out=gw)
     gw *= lr
     gw /= tmp
-    p2 = p.astype(work)
-    np.multiply(p2, lr * wd, out=tmp)
-    p2 -= gw
+    if not direct:
+        p2 = p = p.astype(work)
+    np.multiply(p, lr * wd, out=tmp)
+    np.subtract(p, gw, out=p2)
     p2 -= tmp
-    for o, r in zip(out, (p2, m2, v2)):
-        o[...] = r
+    if not direct:
+        for o, r in zip(out, (p2, m2, v2)):
+            o[...] = r
 
 
 # constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)

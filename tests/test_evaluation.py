@@ -489,6 +489,25 @@ def test_only_low_shot_updates_in_float32(monkeypatch, tiny_cfg):
     assert flags == [True] * 3 * 7
 
 
+def test_low_shot_update_runs_twelve_blocks_a_step(monkeypatch):
+    # float32 blocks of ADAMW_SCRATCH bytes in two buffers: the default
+    # encoder's (768, 256) weight takes 5, (256, 256) 2, the other four
+    # tensors and the head 1 each
+    _, train_ds, test_ds = _small_encoder_setup()
+    params = init_params(EncoderConfig(input_shape=(3, 16, 16)), 32, seed=0)
+    sizes = []
+    real = kernels._adamw_block
+
+    def counted(p, *args):
+        sizes.append(p.size)
+        return real(p, *args)
+
+    monkeypatch.setattr(kernels, "_adamw_block", counted)
+    low_shot_finetune(params, 0.5, train_ds, test_ds, FinetuneConfig(steps=3))
+    assert len(sizes) == 3 * 12
+    assert max(sizes) == kernels.ADAMW_SCRATCH // (2 * 4)
+
+
 def test_protocols_leave_no_tape_for_the_cyclic_collector():
     params, train_ds, test_ds = _small_encoder_setup()
     gc.collect()

@@ -1,7 +1,11 @@
 """The verdicts of benchmarks/pairs.py: pair wins, the gain rule, the
-bound check and the operation totals, on hand-made pairs."""
+bound check and the operation totals, on hand-made pairs; and the code
+state it records per run, on a temporary git repository."""
 
+import hashlib
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -88,3 +92,45 @@ def test_operations_sum_each_side_over_the_pairs():
     assert pairs.operations([]) == {
         "parent": {"attempted": 0, "failed": 0},
         "change": {"attempted": 0, "failed": 0}}
+
+
+def _git(root, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=root,
+        check=True, capture_output=True).stdout
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_code_state_tells_a_dirty_tree_from_its_commit(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "sub").mkdir(parents=True)
+    _git(repo, "init", "-q")
+    (repo / "a.py").write_text("x = 1\n")
+    _git(repo, "add", "a.py")
+    _git(repo, "commit", "-q", "-m", "one")
+    head = _git(repo, "rev-parse", "HEAD").decode().strip()
+    clean = pairs.code_state(repo)
+    assert clean == {"commit": head, "dirty": False,
+                     "diff_sha256": hashlib.sha256(b"").hexdigest()}
+    # an edit to a tracked file: same commit, dirty, the diff's hash
+    (repo / "a.py").write_text("x = 2\n")
+    edited = pairs.code_state(repo)
+    diff = _git(repo, "diff", "HEAD")
+    assert diff and edited == {"commit": head, "dirty": True,
+                               "diff_sha256": hashlib.sha256(diff).hexdigest()}
+    # an untracked file is dirty too, though git diff HEAD leaves it out
+    (repo / "a.py").write_text("x = 1\n")
+    (repo / "b.py").write_text("y = 1\n")
+    assert pairs.code_state(repo) == {**clean, "dirty": True}
+    # committing the change moves the commit and cleans the tree
+    _git(repo, "add", "b.py")
+    _git(repo, "commit", "-q", "-m", "two")
+    assert pairs.code_state(repo) == {
+        **clean, "commit": _git(repo, "rev-parse", "HEAD").decode().strip()}
+    assert pairs.code_state(repo)["commit"] != head
+    # a subdirectory of a work tree, and a plain directory, are not
+    # checkouts of their own
+    none = {"commit": None, "dirty": None, "diff_sha256": None}
+    assert pairs.code_state(repo / "sub") == none
+    (tmp_path / "plain").mkdir()
+    assert pairs.code_state(tmp_path / "plain") == none
